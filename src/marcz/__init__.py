@@ -25,4 +25,3 @@ from .ingest import (PriceSeries, load_prices, log_returns, select_window,
                      select_window_by_dates)
 from .verify import (SuiteResult, ht_ratio_medians, kernel_suite,
                      lrd_ratio_medians, mslln_suite, tensor_suite)
-from ._backend import backend_name

@@ -5,13 +5,12 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .errors import MarczError
+from .errors import DomainError, MarczError
 from .ingest import load_prices, log_returns, select_window
 from .innovations import spec_from_config
 from .kernel import CoefficientSpec
@@ -19,8 +18,7 @@ from .linproc import (ProcessConfig, ensemble_to_binary, ensemble_to_tsv,
                       simulate_paths)
 from .rates import estimate_parameters, predict_table
 from .statistic import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, RunningMeanConfig,
-                        convergence_verdict, marcinkiewicz_trace, tables_from_tsv,
-                        VerdictTable, _scaled_cfg_offsets)
+                        tables_from_tsv, verdict_table)
 from .verify import kernel_suite, mslln_suite, tensor_suite
 
 EXIT_OK = 0
@@ -81,6 +79,9 @@ def cmd_simulate(args):
 def _analysis_input(args):
     if args.returns_csv:
         values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
+        bad = values.size - np.count_nonzero(np.isfinite(values))
+        if bad:
+            raise DomainError(f"{args.returns_csv}: {bad} non-finite value(s)")
         label = args.label or os.path.basename(args.returns_csv)
         return values, label
     series = load_prices(args.input, column_name=args.column, label=args.label)
@@ -94,25 +95,10 @@ def cmd_analyze(args):
     values, label = _analysis_input(args)
     os.makedirs(args.out, exist_ok=True)
     cfg = RunningMeanConfig(epsilon=args.epsilon, rho=args.rho, start=args.start)
-    run_cfg, offsets = _scaled_cfg_offsets(cfg, (1000, 1500), values.size,
-                                           args.proportional)
-    cells = [(s, e) for s in args.s_list for e in args.exponents]
-
-    def one_cell(cell):
-        s, e = cell
-        tr = marcinkiewicz_trace(values, s, e, run_cfg)
-        return cell, tr, convergence_verdict(tr, run_cfg, offsets)
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(one_cell, cells))
-    else:
-        results = [one_cell(c) for c in cells]
-    table = VerdictTable(label=label, s_list=tuple(args.s_list),
-                         exponent_list=tuple(args.exponents))
-    for cell, tr, verdict in sorted(results, key=lambda r: cells.index(r[0])):
-        table.cells[cell] = verdict
-        s, e = cell
+    table, traces = verdict_table(values, args.s_list, args.exponents, cfg,
+                                  label=label, proportional=args.proportional,
+                                  collect_traces=True)
+    for (s, e), tr in traces.items():
         tr.to_csv(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"))
     table.to_tsv(os.path.join(args.out, "verdicts.tsv"))
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
@@ -128,7 +114,6 @@ def cmd_estimate(args):
     else:
         series = load_prices(args.input, column_name=args.column, label=args.label)
         values = select_window(log_returns(series))
-        from .statistic import verdict_table
         tables = [verdict_table(values, label=series.label)]
     out = {}
     for table in tables:
@@ -200,7 +185,6 @@ def build_parser():
     p.add_argument("--rho", type=float, default=0.005)
     p.add_argument("--start", type=int, default=601)
     p.add_argument("--proportional", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
 

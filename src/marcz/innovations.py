@@ -32,10 +32,6 @@ class InnovationSpec:
         if self.scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
 
-    @property
-    def symmetric(self):
-        return True
-
 
 def tail_coefficient(spec):
     """Tail index: +inf for exponential tails, the defining parameter otherwise."""
@@ -74,8 +70,7 @@ def family_variance(spec):
     a = spec.df_or_alpha
     if a <= 2:
         return math.inf
-    if spec.family == "student_t":
-        return spec.scale ** 2 * a / (a - 2)
+    # student_t(a) and symmetric_pareto(a) share the second moment a / (a - 2)
     return spec.scale ** 2 * a / (a - 2)
 
 

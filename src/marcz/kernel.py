@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend
 from .errors import ConfigurationError, DegeneratePairError, DomainError, OutOfWindowError
 
 
@@ -80,6 +79,23 @@ def _power_table(gamma, max_index):
     return t
 
 
+def _cross_sum_gather(j, k, pw_left, pw_right, radius):
+    l = np.arange(-radius, radius + 1, dtype=np.int64)
+    mask = (l != j) & (l != k)
+    lm = l[mask]
+    return float(np.dot(pw_left[np.abs(j - lm)], pw_right[np.abs(k - lm)]))
+
+
+def _cross_sum_lag(d, pw_left, pw_right, radius):
+    # Sum over l in [-radius, radius] \ {0, d} of pw_left[|d-l|] * pw_right[|l|]
+    # for d >= 1, split into l < 0, 0 < l < d, l > d.
+    s = np.dot(pw_left[d + 1:d + radius + 1], pw_right[1:radius + 1])
+    if d > 1:
+        s += np.dot(pw_left[1:d][::-1], pw_right[1:d])
+    s += np.dot(pw_left[1:radius - d + 1], pw_right[d + 1:radius + 1])
+    return float(s)
+
+
 def kernel_cross_sum(j, k, gamma_left, gamma_right, radius):
     """Exact finite sum over l in [-radius, radius] \\ {j, k} of
     |j-l|^(-gamma_left) * |k-l|^(-gamma_right)."""
@@ -93,8 +109,8 @@ def kernel_cross_sum(j, k, gamma_left, gamma_right, radius):
     pw_left = _power_table(gamma_left, hi)
     pw_right = _power_table(gamma_right, hi)
     if k == 0 and j > 0:
-        return float(_backend.cross_sum_lag(j, pw_left, pw_right, radius))
-    return float(_backend.cross_sum_gather(j, k, pw_left, pw_right, radius))
+        return _cross_sum_lag(j, pw_left, pw_right, radius)
+    return _cross_sum_gather(j, k, pw_left, pw_right, radius)
 
 
 @dataclass
@@ -155,6 +171,6 @@ def verify_kernel_bound(gamma, lag_max, radius, mixed=False):
     sums = np.empty(lags.size)
     bounds = np.empty(lags.size)
     for i, d in enumerate(lags):
-        sums[i] = _backend.cross_sum_lag(int(d), pw_left, pw_right, radius)
+        sums[i] = _cross_sum_lag(int(d), pw_left, pw_right, radius)
         bounds[i] = d ** -gamma if mixed else _lemma_bound(gamma, int(d))
     return BoundReport(gamma=gamma, mixed=mixed, lags=lags, sums=sums, bounds=bounds)

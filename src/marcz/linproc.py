@@ -6,9 +6,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from . import _backend
 from .errors import ConfigurationError, DomainError, SizeError
 from .innovations import InnovationSpec, sample, tail_coefficient
 from .kernel import CoefficientSpec, coefficient_array
@@ -77,6 +75,32 @@ def truncation_error_bound(spec, M, innov_variance):
         2.0 * spec.sigma - 1.0)
 
 
+def _fft_length(target):
+    """Smallest 2^a * 3^b * 5^c >= target."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_convolve_valid(xi, kern):
+    """np.convolve(row, kern, "valid") for each row of xi, via numpy.fft.
+
+    A circular convolution of length L >= len(row) wraps only into the first
+    len(kern) - 1 outputs, which valid mode discards.
+    """
+    n = xi.shape[-1]
+    size = _fft_length(n)
+    spec = np.fft.rfft(xi, size) * np.fft.rfft(kern, size)
+    return np.fft.irfft(spec, size)[..., kern.size - 1:n]
+
+
 def _component_innovations(config, seed, r, count):
     stream = 0 if config.sharing == "shared" else r
     return sample(config.innov, count, seed, stream=stream)
@@ -99,9 +123,9 @@ def simulate_paths(config, seed, method="fft", innovation_override=None):
             xi = _component_innovations(config, seed, r, count)
         kern = coefficient_array(config.coeffs[r], half_width=M)
         if method == "fft":
-            x[r] = fftconvolve(xi, kern, mode="valid")
+            x[r] = _fft_convolve_valid(xi, kern)
         elif method == "direct":
-            x[r] = _backend.direct_conv_valid(xi, kern)
+            x[r] = np.convolve(xi, kern, "valid")
         else:
             raise ConfigurationError(f"unknown method {method!r}")
     var = 1.0  # bound reported per unit innovation variance
@@ -112,11 +136,6 @@ def simulate_paths(config, seed, method="fft", innovation_override=None):
     for w in ens.warnings:
         warnings.warn(w, stacklevel=2)
     return ens
-
-
-def products(ensemble):
-    """Pointwise product over components, d_k = prod_r x_k^(r)."""
-    return np.prod(ensemble.x, axis=0)
 
 
 def ensemble_to_tsv(ensemble, path):
@@ -187,10 +206,7 @@ def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, p_grid=(1.2,),
         xi = flat.reshape(m, count)
         spec = CoefficientSpec(sigma=float(sigmas[r]), scale=scale, window=window)
         kern = coefficient_array(spec)
-        z = np.empty((m, n))
-        for i in range(m):
-            z[i] = fftconvolve(xi[i], kern, mode="valid")
-        comps[r] = z.T @ P.T
+        comps[r] = _fft_convolve_valid(xi, kern).T @ P.T
     tensors = comps[0]
     for r in range(1, s):
         tensors = np.einsum("ki,kj->kij", tensors.reshape(n, -1), comps[r]).reshape(n, -1)

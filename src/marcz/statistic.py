@@ -2,12 +2,12 @@
 convergence/divergence verdict rule."""
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _backend
-from .errors import ConfigurationError, LengthError
+from .errors import ConfigurationError, DomainError, LengthError
 
 DEFAULT_S_LIST = (1, 2, 3)
 DEFAULT_EXPONENTS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
@@ -30,11 +30,39 @@ class RunningMeanConfig:
 
 
 def ewma(series, epsilon):
-    """Exponential moving average seeded at the first observation."""
-    series = np.ascontiguousarray(series, dtype=np.float64)
-    if series.size == 0:
+    """Exponential moving average y_t = (1-epsilon) y_{t-1} + epsilon x_t,
+    seeded so that y_0 = x_0.
+
+    Blocked form: within a block of length B,
+    y_j = a^j (a c + epsilon * sum_{i<=j} a^-i x_i) with a = 1-epsilon and c
+    the carry from the previous block. B is chosen so that a^-B <= e^30,
+    which keeps the rescaled cumsum finite for every epsilon in (0, 1); the
+    carries follow from a doubling scan over blocks.
+    """
+    x = np.ascontiguousarray(series, dtype=np.float64)
+    n = x.size
+    if n == 0:
         raise LengthError("series must be non-empty")
-    return _backend.ewma_kernel(series, epsilon)
+    a = 1.0 - epsilon
+    block = int(min(n, max(1.0, 30.0 / -math.log1p(-epsilon))))
+    nblocks = -(-n // block)
+    decay = a ** np.arange(block, dtype=np.float64)
+    w = np.zeros((nblocks, block))
+    w.reshape(-1)[:n] = x
+    carry = np.empty(nblocks)
+    carry[0] = x[0]
+    # end value of each block started from zero
+    carry[1:] = w[:-1] @ (epsilon * decay[::-1])
+    step, shift = a ** block, 1
+    while shift < nblocks and step > 0.0:
+        carry[shift:] += step * carry[:-shift]
+        step *= step
+        shift *= 2
+    w *= epsilon / decay
+    w[:, 0] += a * carry
+    np.cumsum(w, axis=1, out=w)
+    w *= decay
+    return w.reshape(-1)[:n]
 
 
 def decaying_avg(series):
@@ -43,7 +71,7 @@ def decaying_avg(series):
     series = np.ascontiguousarray(series, dtype=np.float64)
     if series.size == 0:
         raise LengthError("series must be non-empty")
-    return _backend.running_mean_kernel(series)
+    return np.cumsum(series) / np.arange(1, series.size + 1, dtype=np.float64)
 
 
 @dataclass
@@ -61,14 +89,33 @@ class MarcTrace:
                 fh.write(f"{k},{v:.17g}\n")
 
 
+def _finite_series(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise DomainError(f"series has {bad} non-finite value(s)")
+    return x
+
+
+def _centering(value, n):
+    """A scalar (constant centering) or a precomputed length-n trace."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim == 0:
+        return np.full(n, float(arr))
+    if arr.shape != (n,):
+        raise LengthError(f"centering trace has shape {arr.shape}, need ({n},)")
+    return arr
+
+
 def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
     """f(k) = k^(-exponent) * |sum_{j<=k} (|x_j - mu_j|^s - m_j)|.
 
     By default mu and m are the running exponential means of the published
     procedure. Passing scalar mu/m switches to constant (known-mean)
-    centering, which is what the rate theory is stated for.
+    centering, which is what the rate theory is stated for; passing length-n
+    arrays reuses running means computed once for several cells.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = _finite_series(x)
     if not 0.0 < exponent <= 1.0:
         raise ConfigurationError(f"exponent must be in (0,1], got {exponent}")
     if s < 1:
@@ -76,12 +123,12 @@ def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None
     if mu is None:
         mu_trace = ewma(x, cfg.epsilon)
     else:
-        mu_trace = np.full(x.size, float(mu))
+        mu_trace = _centering(mu, x.size)
     residual = np.abs(x - mu_trace) ** s
     if m is None:
         m_trace = ewma(residual, cfg.rho)
     else:
-        m_trace = np.full(x.size, float(m))
+        m_trace = _centering(m, x.size)
     k = np.arange(1, x.size + 1, dtype=np.float64)
     f = np.abs(np.cumsum(residual - m_trace)) / k ** exponent
     return MarcTrace(s=s, exponent=exponent, f=f, mu_trace=mu_trace, m_trace=m_trace)
@@ -104,7 +151,7 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=(1000, 1500),
                         thresholds=(1.2, 1.05)):
     """Two-stage trailing-average rule: diverges unless the whole-window
     average exceeds 1.2x the last-half average and that exceeds 1.05x the
-    last-quarter average."""
+    last-quarter average. A NaN mean fails both comparisons and diverges."""
     f = trace.f
     need = cfg.start + offsets[1] + 1
     if f.size < need:
@@ -112,12 +159,11 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=(1000, 1500),
     mean_whole = decaying_avg(f[cfg.start - 1:])[-1]
     mean_half = decaying_avg(f[cfg.start - 1 + offsets[0]:])[-1]
     mean_quarter = decaying_avg(f[cfg.start - 1 + offsets[1]:])[-1]
-    if mean_whole < thresholds[0] * mean_half:
-        outcome = "Diverges"
-    elif mean_half < thresholds[1] * mean_quarter:
-        outcome = "Diverges"
-    else:
+    if (mean_whole >= thresholds[0] * mean_half
+            and mean_half >= thresholds[1] * mean_quarter):
         outcome = "Converges"
+    else:
+        outcome = "Diverges"
     ratios = (
         mean_whole / mean_half if mean_half != 0 else float("inf"),
         mean_half / mean_quarter if mean_quarter != 0 else float("inf"),
@@ -208,15 +254,21 @@ def _scaled_cfg_offsets(cfg, offsets, n, proportional):
 def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   cfg=RunningMeanConfig(), label="", proportional=False,
                   offsets=(1000, 1500), collect_traces=False):
-    """Grid of verdicts over powers s and exponents 1/p."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    """Grid of verdicts over powers s and exponents 1/p.
+
+    The running mean mu is computed once per grid and the residual mean m
+    once per s; every cell then matches marcinkiewicz_trace(x, s, e, cfg).
+    """
+    x = _finite_series(x)
     cfg, offsets = _scaled_cfg_offsets(cfg, offsets, x.size, proportional)
     table = VerdictTable(label=label, s_list=tuple(s_list),
                          exponent_list=tuple(exponent_list))
     traces = {}
+    mu = ewma(x, cfg.epsilon)
     for s in s_list:
+        m = ewma(np.abs(x - mu) ** s, cfg.rho)
         for e in exponent_list:
-            tr = marcinkiewicz_trace(x, s, e, cfg)
+            tr = marcinkiewicz_trace(x, s, e, cfg, mu=mu, m=m)
             table.cells[(s, e)] = convergence_verdict(tr, cfg, offsets)
             if collect_traces:
                 traces[(s, e)] = tr

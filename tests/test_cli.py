@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import marcz
 from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
                    rate_bound, predict_table, sample, simulate_paths,
                    verdict_table)
@@ -80,14 +83,16 @@ class TestAnalyzeCmd:
         rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    def test_jobs_flag_same_result(self, tmp_path):
+    def test_nan_row_exit_code(self, tmp_path):
         rets = tmp_path / "returns.csv"
-        _write_returns(rets, seed=5)
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["analyze", "--returns-csv", str(rets), "--out", str(a)])
-        main(["analyze", "--returns-csv", str(rets), "--jobs", "4",
-              "--out", str(b)])
-        assert (a / "verdicts.tsv").read_text() == (b / "verdicts.tsv").read_text()
+        _write_returns(rets)
+        lines = rets.read_text().splitlines()
+        lines[1000] = "nan"
+        rets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
+        assert rc == 3
+        assert not (out / "verdicts.tsv").exists()
 
 
 class TestEstimateCmd:
@@ -128,6 +133,21 @@ class TestVerifyCmd:
     def test_kernel_suite_small_radius(self, capsys):
         rc = main(["verify", "--suite", "kernel", "--radius", "10000"])
         assert rc == 0
+
+
+def test_cli_import_loads_numpy_only():
+    # the child inherits this environment and imports the marcz under test
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(marcz.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    code = ("import sys, marcz.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numba')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.xfail(strict=True,

@@ -9,6 +9,7 @@ from marcz import (CoefficientSpec, LPolyParams, coefficient, coefficient_array,
                    kernel_cross_sum, l_poly, verify_kernel_bound)
 from marcz.errors import (ConfigurationError, DegeneratePairError, DomainError,
                           OutOfWindowError)
+from marcz.kernel import _cross_sum_gather, _cross_sum_lag
 
 
 class TestCoefficient:
@@ -92,6 +93,15 @@ class TestCrossSum:
     def test_dominated_by_inner_term(self):
         assert kernel_cross_sum(2, 0, 10.0, 10.0, 100) == pytest.approx(
             1.0000338720417628, rel=1e-12)
+
+    def test_lag_equals_gather(self):
+        with np.errstate(divide="ignore"):
+            pw = np.arange(500, dtype=np.float64) ** -0.6
+        pw[0] = 0.0
+        for d in (1, 2, 9, 30):
+            a = _cross_sum_lag(d, pw, pw, 400)
+            b = _cross_sum_gather(d, 0, pw, pw, 400)
+            assert a == pytest.approx(b, rel=1e-12)
 
     def test_degenerate_pair(self):
         with pytest.raises(DegeneratePairError):

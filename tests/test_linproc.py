@@ -7,7 +7,8 @@ from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
                    coefficient_array, simulate_paths, simulate_tensor_paths,
                    truncation_error_bound)
 from marcz.errors import ConfigurationError, DomainError, SizeError
-from marcz.linproc import ensemble_to_binary, ensemble_to_tsv, products
+from marcz.linproc import (_fft_convolve_valid, _fft_length, ensemble_to_binary,
+                           ensemble_to_tsv)
 
 
 def _config(s=1, sigma=0.75, n=2 ** 10, window=2 ** 10, sharing="shared",
@@ -69,20 +70,53 @@ class TestSimulate:
 class TestProducts:
     def test_s1_identity(self):
         ens = simulate_paths(_config(), 1)
-        assert np.array_equal(products(ens), ens.x[0])
+        assert np.array_equal(ens.d, ens.x[0])
 
     def test_shared_square_nonnegative(self):
         ens = simulate_paths(_config(s=2, sigma=0.8), 2)
-        d = products(ens)
-        assert np.all(d >= 0)
-        assert np.allclose(d, ens.x[0] ** 2)
+        assert np.all(ens.d >= 0)
+        assert np.allclose(ens.d, ens.x[0] ** 2)
 
     def test_zero_component_annihilates(self):
         cfg = _config(s=3, sigma=0.8, sharing="independent")
         ens = simulate_paths(
             cfg, 0, innovation_override=lambda r, count:
             np.zeros(count) if r == 1 else np.ones(count))
-        assert np.all(products(ens) == 0)
+        assert np.all(ens.d == 0)
+
+
+class TestFftConvolve:
+    def test_length_is_5_smooth_and_minimal(self):
+        smooth = [v for v in range(1, 3001) if _is_5_smooth(v)]
+        for target in range(1, 2801):
+            assert _fft_length(target) == next(v for v in smooth if v >= target)
+
+    @pytest.mark.parametrize("n,m", [(7, 1), (7, 7), (97, 31), (1001, 333),
+                                     (2049, 513)])
+    def test_matches_direct(self, n, m):
+        assert _fft_length(n) > n  # odd sizes exercise the padded length
+        rng = np.random.default_rng(n)
+        xi, kern = rng.standard_normal(n), rng.standard_normal(m)
+        ref = np.convolve(xi, kern, "valid")
+        out = _fft_convolve_valid(xi, kern)
+        assert out.shape == ref.shape
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_rows(self):
+        rng = np.random.default_rng(3)
+        xi, kern = rng.standard_normal((3, 301)), rng.standard_normal(101)
+        out = _fft_convolve_valid(xi, kern)
+        assert out.shape == (3, 201)
+        for row, got in zip(xi, out):
+            ref = np.convolve(row, kern, "valid")
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _is_5_smooth(v):
+    for p in (2, 3, 5):
+        while v % p == 0:
+            v //= p
+    return v == 1
 
 
 class TestTruncationBound:

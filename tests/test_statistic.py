@@ -6,7 +6,15 @@ from hypothesis import strategies as st
 from marcz import (InnovationSpec, RunningMeanConfig, Verdict,
                    convergence_verdict, decaying_avg, ewma,
                    marcinkiewicz_trace, sample, tables_from_tsv, verdict_table)
-from marcz.errors import ConfigurationError, LengthError
+from marcz.errors import ConfigurationError, DomainError, LengthError
+
+
+def _ewma_loop(x, eps):
+    out = np.empty_like(x)
+    out[0] = x[0]
+    for t in range(1, x.size):
+        out[t] = (1.0 - eps) * out[t - 1] + eps * x[t]
+    return out
 
 
 class TestEwma:
@@ -30,6 +38,25 @@ class TestEwma:
         for t in range(1, 50):
             manual = 0.9 * manual + 0.1 * x[t]
         assert out[-1] == pytest.approx(manual, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [0.005, 0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 2601, 20000])
+    def test_matches_recurrence(self, eps, n):
+        # 20000 points span several blocks at every eps listed
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) ** 3 + 1.0
+        ref = _ewma_loop(x, eps)
+        out = ewma(x, eps)
+        assert out.shape == (n,)
+        assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_extreme_eps_finite(self):
+        x = np.random.default_rng(5).standard_normal(5000)
+        for eps in (1e-12, 1.0 - 1e-15):
+            out = ewma(x, eps)
+            assert np.all(np.isfinite(out))
+            ref = _ewma_loop(x, eps)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestDecayingAvg:
@@ -80,6 +107,15 @@ class TestTrace:
         assert np.all(tr.f == 0)
         assert np.all(tr.mu_trace == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        x = sample(InnovationSpec("gaussian"), 2601, 0)
+        x[1300] = bad
+        with pytest.raises(DomainError):
+            marcinkiewicz_trace(x, 1, 0.8)
+        with pytest.raises(DomainError):
+            verdict_table(x)
+
     def test_invalid_exponent(self):
         with pytest.raises(ConfigurationError):
             marcinkiewicz_trace(np.ones(10), 1, 1.5)
@@ -126,6 +162,11 @@ class TestVerdictRule:
         tr = marcinkiewicz_trace(np.zeros(2601), 1, 0.5)
         assert convergence_verdict(tr).outcome == "Converges"
 
+    def test_nan_trace_diverges(self):
+        tr = marcinkiewicz_trace(np.zeros(2601), 1, 0.5)
+        tr.f = np.full(2601, np.nan)
+        assert convergence_verdict(tr).outcome == "Diverges"
+
     def test_short_trace_error(self):
         tr = marcinkiewicz_trace(np.zeros(100), 1, 0.5)
         with pytest.raises(LengthError):
@@ -140,6 +181,14 @@ class TestVerdictTable:
         for s in table.s_list:
             row = table.row(s)
             assert "".join(row) == "D" * row.count("D") + "C" * row.count("C")
+
+    def test_cells_match_trace(self):
+        x = sample(InnovationSpec("student_t", 3.0), 2601, 9)
+        table, traces = verdict_table(x, collect_traces=True)
+        for (s, e), tr in traces.items():
+            alone = marcinkiewicz_trace(x, s, e)
+            assert np.array_equal(tr.f, alone.f)
+            assert table.cells[(s, e)].outcome == convergence_verdict(alone).outcome
 
     def test_tsv_roundtrip(self, tmp_path):
         x = sample(InnovationSpec("gaussian"), 2601, 4)
