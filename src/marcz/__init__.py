@@ -19,8 +19,8 @@ from .statistic import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, MarcTrace,
                         RunningMeanConfig, Verdict, VerdictTable,
                         convergence_verdict, decaying_avg, ewma,
                         marcinkiewicz_trace, tables_from_tsv, verdict_table)
-from .rates import (EstimateValue, ParamEstimate, RateInputs, rate_bound,
-                    estimate_parameters, predict_table, general_rate_bound)
+from .rates import (EstimateValue, ParamEstimate, estimate_parameters,
+                    predict_table, rate_bound)
 from .ingest import (PriceSeries, load_prices, log_returns, select_window,
                      select_window_by_dates)
 from .verify import (SuiteResult, ht_ratio_medians, kernel_suite,

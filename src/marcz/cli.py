@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -128,8 +127,7 @@ def cmd_estimate(args):
 
 
 def cmd_table_predict(args):
-    alpha1 = math.inf if args.alpha1.lower() in ("inf", "infinity") else float(args.alpha1)
-    table = predict_table(args.sigma, alpha1, s_list=args.s_list,
+    table = predict_table(args.sigma, float(args.alpha1), s_list=args.s_list,
                           exponent_list=args.exponents,
                           label=f"predicted_s{args.sigma:g}_a{args.alpha1}")
     if args.out:

@@ -17,75 +17,56 @@ def _inv_or_inf(denom):
     return math.inf if denom <= 0 else 1.0 / denom
 
 
+def _bound(s, sigmas, alpha0, relaxed):
+    """The rate bound, without domain checks: the largest p for which
+    n^(-1/p) sum(d_k - d) -> 0 for s factors with decay exponents sigmas and
+    innovation tail index alpha0 (math.inf for light tails)."""
+    if relaxed:
+        best_pair = max(sigmas[i] + sigmas[j]
+                        for i in range(s) for j in range(i + 1, s))
+        return min(2.0, alpha0, _inv_or_inf(2.0 - best_pair))
+    if s == 1:
+        return 2.0 / (3.0 - 2.0 * sigmas[0])
+    if s == 2:
+        return min(2.0, alpha0, _inv_or_inf(2.0 - (sigmas[0] + sigmas[1])))
+    return min(alpha0, 2.0 / (3.0 - 2.0 * min(sigmas)))
+
+
 def rate_bound(s, sigma, alpha0, relaxed=False):
-    """Largest admissible p for the equal-coefficient power case."""
-    if sigma <= 0.5 or sigma > 1.0:
+    """Largest admissible p for a product of s factors. sigma is one decay
+    exponent shared by every factor or one per factor; alpha0=math.inf is
+    the light-tailed case."""
+    if s < 1:
+        raise ConfigurationError(f"s must be >= 1, got {s}")
+    sigmas = (sigma,) * s if np.ndim(sigma) == 0 else tuple(sigma)
+    if len(sigmas) != s:
+        raise ConfigurationError(f"need one sigma or {s} sigma values, got {len(sigmas)}")
+    if not all(0.5 < sg <= 1.0 for sg in sigmas):
         raise DomainError(f"sigma must lie in (0.5, 1.0], got {sigma}")
     if not alpha0 > 1:
         raise DomainError(f"alpha0 must exceed 1, got {alpha0}")
-    if relaxed:
-        if s % 2 != 0:
-            raise ConfigurationError("relaxed bound requires even s")
-        return min(2.0, alpha0, _inv_or_inf(2.0 - 2.0 * sigma))
-    if s == 1:
-        return 2.0 / (3.0 - 2.0 * sigma)
-    if s == 2:
-        return min(2.0, alpha0, _inv_or_inf(2.0 - 2.0 * sigma))
-    return min(alpha0, 2.0 / (3.0 - 2.0 * sigma))
-
-
-@dataclass(frozen=True)
-class RateInputs:
-    s: int
-    sigmas: tuple
-    alpha0: float = math.inf
-    relaxed: bool = False
-    light_tailed: bool = False
-
-    def __post_init__(self):
-        if len(self.sigmas) != self.s:
-            raise ConfigurationError(
-                f"need {self.s} sigma values, got {len(self.sigmas)}")
-        for sg in self.sigmas:
-            if sg <= 0.5 or sg > 1.0:
-                raise DomainError(f"sigma must lie in (0.5, 1.0], got {sg}")
-        if not self.alpha0 > 1:
-            raise DomainError(f"alpha0 must exceed 1, got {self.alpha0}")
-        if self.relaxed and self.s % 2 != 0:
-            raise ConfigurationError("relaxed regime requires even s")
-
-
-def general_rate_bound(inputs):
-    """Largest admissible p for general products; the light-tailed regime
-    drops the tail-index term."""
-    s, sg = inputs.s, inputs.sigmas
-    alpha = math.inf if inputs.light_tailed else inputs.alpha0
-    if inputs.relaxed:
-        best_pair = max(sg[i] + sg[j] for i in range(s) for j in range(i + 1, s))
-        return min(2.0, alpha, _inv_or_inf(2.0 - best_pair))
-    if s == 1:
-        return 2.0 / (3.0 - 2.0 * sg[0])
-    if s == 2:
-        return min(2.0, alpha, _inv_or_inf(2.0 - sg[0] - sg[1]))
-    return min(alpha, 2.0 / (3.0 - 2.0 * min(sg)))
+    if relaxed and s % 2 != 0:
+        raise ConfigurationError("relaxed bound requires even s")
+    return _bound(s, sigmas, alpha0, relaxed)
 
 
 def predict_table(sigma, alpha1, s_list=DEFAULT_S_LIST,
                   exponent_list=DEFAULT_EXPONENTS, label="predicted"):
     """Forward model: cell (s, e) converges iff p = 1/e is strictly below the
     rate bound with alpha_s = alpha1 / s. sigma >= 1 is clamped to the
-    no-LRD closure value."""
-    if len(s_list) == 0 or len(exponent_list) == 0:
-        raise ConfigurationError("grids must be non-empty")
+    no-LRD closure value; alpha1=math.inf means light tails."""
+    if not (len(s_list) and len(exponent_list) and min(s_list) >= 1
+            and all(0.0 < e <= 1.0 for e in exponent_list)):
+        raise ConfigurationError("grids must be non-empty with s >= 1 and exponents "
+                                 f"in (0,1], got {s_list} and {exponent_list}")
+    if not (float(sigma) > 0.5 and alpha1 > 0):
+        raise DomainError(f"need sigma > 0.5 and alpha1 > 0, got {sigma} and {alpha1}")
     sig = min(float(sigma), 1.0)
-    if sig <= 0.5:
-        raise DomainError(f"sigma must exceed 0.5, got {sigma}")
     table = VerdictTable(label=label, s_list=tuple(s_list),
                          exponent_list=tuple(exponent_list))
     for s in s_list:
-        alpha_s = alpha1 / s if math.isfinite(alpha1) else math.inf
-        bound = rate_bound(s, sig, max(alpha_s, 1.0 + 1e-9)) if alpha_s <= 1 \
-            else rate_bound(s, sig, alpha_s)
+        alpha_s = alpha1 / s
+        bound = _bound(s, (sig,) * s, alpha_s, False)
         if alpha_s <= 1:
             bound = min(bound, alpha_s)  # tail index at or below 1: never converges
         for e in exponent_list:
@@ -195,11 +176,9 @@ def estimate_parameters(table):
     points, point_intervals, uppers, lowers = [], [], [], []
     for s in (s for s in s_values if s >= 2 and s in usable):
         letters = usable[s]
-        # part of the rate bound already fixed by sigma_hat
-        if s == 2:
-            explained = min(2.0, _inv_or_inf(2.0 - 2.0 * sigma_hat))
-        else:
-            explained = 2.0 / (3.0 - 2.0 * sigma_hat)
+        # part of the rate bound already fixed by sigma_hat, which may lie
+        # at or below 0.5, outside rate_bound's domain
+        explained = _bound(s, (sigma_hat,) * s, math.inf, False)
         flip = _flip(letters)
         if flip is None and all(l == "D" for _, l in letters):
             p_ub = 1.0 / max(e for e, _ in letters)

@@ -213,30 +213,41 @@ def tables_from_tsv(path):
     """Parse one or more verdict tables from the TSV layout written above."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if len(lines) < 2:
+        raise ConfigurationError(f"{path}: no verdict rows")
     header = lines[0].split("\t")
     if header[:2] != ["label", "s"]:
         raise ConfigurationError("verdict table must start with 'label\\ts' columns")
-    exponents = tuple(float(v) for v in header[2:])
+    try:
+        exponents = tuple(float(v) for v in header[2:])
+    except ValueError:
+        raise ConfigurationError(f"non-numeric exponent in header {header[2:]}") from None
+    if not exponents or len(set(exponents)) != len(exponents) or not all(
+            0.0 < e <= 1.0 for e in exponents):
+        raise ConfigurationError(
+            f"header exponents must be distinct and in (0,1], got {header[2:]}")
     grouped = {}
-    order = []
     for ln in lines[1:]:
         parts = ln.split("\t")
-        label, s = parts[0], int(parts[1])
-        letters = parts[2:]
-        if len(letters) != len(exponents):
-            raise ConfigurationError(f"row for {label} s={s} has wrong cell count")
-        if label not in grouped:
-            grouped[label] = {}
-            order.append(label)
-        grouped[label][s] = letters
+        label, s = parts[0], parts[1] if len(parts) > 1 else ""
+        letters = [v.upper() for v in parts[2:]]
+        if not s.isdigit() or int(s) < 1:
+            raise ConfigurationError(f"row for {label}: s must be an integer >= 1, got {s!r}")
+        s = int(s)
+        if len(letters) != len(exponents) or not set(letters) <= {"C", "D"}:
+            raise ConfigurationError(
+                f"row for {label} s={s} needs {len(exponents)} C/D cells")
+        rows = grouped.setdefault(label, {})
+        if s in rows:
+            raise ConfigurationError(f"duplicate row for {label} s={s}")
+        rows[s] = letters
     out = []
-    for label in order:
-        rows = grouped[label]
+    for label, rows in grouped.items():
         table = VerdictTable(label=label, s_list=tuple(sorted(rows)),
                              exponent_list=exponents)
         for s, letters in rows.items():
             for e, letter in zip(exponents, letters):
-                outcome = "Converges" if letter.upper() == "C" else "Diverges"
+                outcome = "Converges" if letter == "C" else "Diverges"
                 table.cells[(s, e)] = Verdict(outcome=outcome)
         out.append(table)
     return out

@@ -110,6 +110,18 @@ class TestEstimateCmd:
         rc = main(["estimate", "--table", str(tmp_path / "nope.tsv")])
         assert rc == 3
 
+    @pytest.mark.parametrize("text", [
+        "",
+        "label\ts\t0.5\t1\nA\tone\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t1\tD\tX\n",
+        "label\ts\t0.5\t1\nA\t1\tD\tC\nA\t1\tD\tD\n",
+    ])
+    def test_malformed_table_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        assert main(["estimate", "--table", str(path)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestTablePredictCmd:
     def test_stdout(self, capsys):
@@ -121,6 +133,18 @@ class TestTablePredictCmd:
     def test_infinite_alpha(self, capsys):
         rc = main(["table-predict", "--sigma", "1.0"])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--sigma", "nan"],
+        ["--sigma", "0.7", "--alpha1", "nan"],
+        ["--sigma", "0.7", "--alpha1", "-2"],
+        ["--sigma", "0.7", "--s-list", "0,1"],
+        ["--sigma", "0.7", "--alpha1", "2", "--s-list", "0,1"],
+        ["--sigma", "0.7", "--exponents", "0.5,1.5"],
+    ])
+    def test_bad_input_exit_code(self, capsys, argv):
+        assert main(["table-predict", *argv]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestVerifyCmd:

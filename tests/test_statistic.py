@@ -1,11 +1,14 @@
+import string
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from marcz import (InnovationSpec, RunningMeanConfig, Verdict,
-                   convergence_verdict, decaying_avg, ewma,
-                   marcinkiewicz_trace, sample, tables_from_tsv, verdict_table)
+from marcz import (DEFAULT_EXPONENTS, InnovationSpec, RunningMeanConfig,
+                   Verdict, VerdictTable, convergence_verdict, decaying_avg,
+                   ewma, marcinkiewicz_trace, sample, tables_from_tsv,
+                   verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
 
 
@@ -190,16 +193,21 @@ class TestVerdictTable:
             assert np.array_equal(tr.f, alone.f)
             assert table.cells[(s, e)].outcome == convergence_verdict(alone).outcome
 
-    def test_tsv_roundtrip(self, tmp_path):
-        x = sample(InnovationSpec("gaussian"), 2601, 4)
-        table = verdict_table(x, label="sim")
+    @given(st.text(string.ascii_letters + string.digits, min_size=1),
+           st.lists(st.integers(min_value=1, max_value=9), min_size=1, unique=True),
+           st.lists(st.sampled_from(DEFAULT_EXPONENTS), min_size=1, unique=True),
+           st.randoms())
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_tsv_roundtrip(self, tmp_path, label, s_list, exponents, rnd):
+        table = VerdictTable(label=label, s_list=tuple(sorted(s_list)),
+                             exponent_list=tuple(exponents))
+        for s in table.s_list:
+            for e in table.exponent_list:
+                table.cells[(s, e)] = Verdict(rnd.choice(("Converges", "Diverges")))
         path = tmp_path / "table.tsv"
         table.to_tsv(path)
-        back = tables_from_tsv(path)
-        assert len(back) == 1
-        assert back[0].label == "sim"
-        for s in table.s_list:
-            assert back[0].row(s) == table.row(s)
+        assert tables_from_tsv(path) == [table]
 
     def test_fixture_parse(self, fixtures_dir):
         tables = tables_from_tsv(f"{fixtures_dir}/table1.tsv")
@@ -208,6 +216,26 @@ class TestVerdictTable:
         assert alcoa.row(1) == ["D", "D", "D", "D", "C", "C"]
         assert tables[1].row(3) == ["D", "D", "D", "D", "C", "C"]
         assert tables[2].row(2) == ["D"] * 6
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "label\ts\t0.5\t1\n",
+        "label\ts\t0.5\t1\nA\tone\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t0\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t1\tD\tX\n",
+        "label\ts\t0.5\t1\nA\t1\tD\n",
+        "label\ts\t0.5\t1\nA\n",
+        "label\ts\t0.5\t1\nA\t1\tD\tC\nA\t1\tD\tD\n",
+        "label\ts\t0.5\thalf\nA\t1\tD\tC\n",
+        "label\ts\t0.5\t1.5\nA\t1\tD\tC\n",
+        "label\ts\t0.5\t0.5\nA\t1\tD\tC\n",
+        "label\ts\nA\t1\n",
+    ])
+    def test_malformed_tsv_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.tsv"
+        path.write_text(text)
+        with pytest.raises(ConfigurationError):
+            tables_from_tsv(path)
 
     def test_letter_property(self):
         assert Verdict(outcome="Converges").letter == "C"
