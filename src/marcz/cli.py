@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .errors import DomainError, MarczError
+from .errors import ConfigurationError, DomainError, MarczError, SchemaError
 from .ingest import load_prices, log_returns, select_window
 from .innovations import spec_from_config
 from .kernel import CoefficientSpec
@@ -50,18 +50,23 @@ def _parse_int_list(text):
 def _load_process_config(path):
     with open(path) as fh:
         raw = json.load(fh)
-    s = int(raw.get("s", 1))
-    sigmas = raw.get("sigmas") or [raw["sigma"]] * s
-    window = int(raw.get("window", 2 ** 14))
-    coeffs = tuple(
-        CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
-                        center_value=float(raw.get("center_value", 1.0)),
-                        window=window)
-        for sg in sigmas)
-    return ProcessConfig(
-        s=s, coeffs=coeffs, innov=spec_from_config(raw["innovation"]),
-        sharing=raw.get("sharing", "shared"), length=int(raw["n"]),
-        window=window)
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{path}: top level must be a JSON object")
+    try:
+        s = int(raw.get("s", 1))
+        sigmas = raw.get("sigmas") or [raw["sigma"]] * s
+        window = int(raw.get("window", 2 ** 14))
+        coeffs = tuple(
+            CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
+                            center_value=float(raw.get("center_value", 1.0)),
+                            window=window)
+            for sg in sigmas)
+        return ProcessConfig(
+            s=s, coeffs=coeffs, innov=spec_from_config(raw["innovation"]),
+            sharing=raw.get("sharing", "shared"), length=int(raw["n"]),
+            window=window)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args):
@@ -77,10 +82,10 @@ def cmd_simulate(args):
 
 def _analysis_input(args):
     if args.returns_csv:
-        values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
-        bad = values.size - np.count_nonzero(np.isfinite(values))
-        if bad:
-            raise DomainError(f"{args.returns_csv}: {bad} non-finite value(s)")
+        try:
+            values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
+        except ValueError as exc:
+            raise SchemaError(f"{args.returns_csv}: {exc}") from None
         label = args.label or os.path.basename(args.returns_csv)
         return values, label
     series = load_prices(args.input, column_name=args.column, label=args.label)
@@ -99,11 +104,10 @@ def cmd_analyze(args):
                                   collect_traces=True)
     for (s, e), tr in traces.items():
         tr.to_csv(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"))
-    table.to_tsv(os.path.join(args.out, "verdicts.tsv"))
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
         fh.write(table.to_json())
     _write_manifest(args.out, "analyze", args, [])
-    sys.stdout.write(table.to_tsv())
+    sys.stdout.write(table.to_tsv(os.path.join(args.out, "verdicts.tsv")))
     return EXIT_OK
 
 
@@ -114,10 +118,7 @@ def cmd_estimate(args):
         series = load_prices(args.input, column_name=args.column, label=args.label)
         values = select_window(log_returns(series))
         tables = [verdict_table(values, label=series.label)]
-    out = {}
-    for table in tables:
-        est = estimate_parameters(table)
-        out[table.label] = json.loads(est.to_json())
+    out = {t.label: json.loads(estimate_parameters(t).to_json()) for t in tables}
     text = json.dumps(out, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -127,12 +128,14 @@ def cmd_estimate(args):
 
 
 def cmd_table_predict(args):
-    table = predict_table(args.sigma, float(args.alpha1), s_list=args.s_list,
+    try:
+        alpha1 = float(args.alpha1)
+    except ValueError:
+        raise DomainError(f"--alpha1 must be a number, got {args.alpha1!r}") from None
+    table = predict_table(args.sigma, alpha1, s_list=args.s_list,
                           exponent_list=args.exponents,
                           label=f"predicted_s{args.sigma:g}_a{args.alpha1}")
-    if args.out:
-        table.to_tsv(args.out)
-    sys.stdout.write(table.to_tsv())
+    sys.stdout.write(table.to_tsv(args.out))
     return EXIT_OK
 
 

@@ -1,15 +1,17 @@
-"""Price CSV ingestion and log-return computation."""
+"""Price CSV ingestion, log returns, and the writer of every tabular artifact."""
 
 import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
+from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, LengthError, SchemaError
 
 _DATE_FORMATS = ("%Y-%m-%d", "%Y/%m/%d", "%m/%d/%Y", "%d/%m/%Y")
+_BLOCK_ROWS = 256
 
 
 def _parse_date(text):
@@ -91,15 +93,13 @@ def select_window_by_dates(series, values, start=date(2009, 10, 23),
     return values[idx[0]:idx[-1] + 1]
 
 
-def save_cleaned_tsv(series, path):
+def write_rows(path, header, row_format, *columns):
+    """Write `header`, then `row_format` once per row of the equal-length
+    `columns`. Each block of _BLOCK_ROWS rows is formatted with a single `%`
+    and written in one call, so memory stays bounded by the block."""
     with open(path, "w") as fh:
-        fh.write("date\tadj_close\n")
-        for d, p in zip(series.dates, series.adj_close):
-            fh.write(f"{d.isoformat() if d else ''}\t{p:.17g}\n")
-
-
-def save_window_csv(values, path):
-    with open(path, "w") as fh:
-        fh.write("value\n")
-        for v in values:
-            fh.write(f"{v:.17g}\n")
+        fh.write(header)
+        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+            block = [np.asarray(c[start:start + _BLOCK_ROWS]).tolist() for c in columns]
+            rows = chain.from_iterable(zip(*block))
+            fh.write(row_format * len(block[0]) % tuple(rows))

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DegeneratePairError, DomainError, OutOfWindowError
+from .ingest import write_rows
 
 
 @dataclass(frozen=True)
@@ -128,18 +129,12 @@ class BoundReport:
         self.ratios = self.sums / self.bounds
 
     @property
-    def max_ratio(self):
-        return float(np.max(self.ratios))
-
-    @property
     def spread(self):
         return float(np.max(self.ratios) / np.min(self.ratios))
 
     def to_tsv(self, path):
-        with open(path, "w") as fh:
-            fh.write("lag\tsum\tbound\tratio\n")
-            for lag, s, b, r in zip(self.lags, self.sums, self.bounds, self.ratios):
-                fh.write(f"{lag}\t{s:.12g}\t{b:.12g}\t{r:.12g}\n")
+        write_rows(path, "lag\tsum\tbound\tratio\n", "%d\t%.12g\t%.12g\t%.12g\n",
+                   self.lags, self.sums, self.bounds, self.ratios)
 
 
 def _lemma_bound(gamma, d):
@@ -163,6 +158,8 @@ def verify_kernel_bound(gamma, lag_max, radius, mixed=False):
         raise DomainError("mixed bound requires gamma in (1/2, 1)")
     if lag_max < 2:
         raise DomainError("lag_max must be >= 2")
+    if radius < 2 * lag_max:
+        raise DomainError(f"radius {radius} must be >= 2*lag_max = {2 * lag_max}")
     gl, gr = (gamma, 2.0 * gamma) if mixed else (gamma, gamma)
     hi = radius + lag_max
     pw_left = _power_table(gl, hi)

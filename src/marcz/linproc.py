@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SizeError
+from .ingest import write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
 from .kernel import CoefficientSpec, coefficient_array
 
@@ -140,13 +141,9 @@ def simulate_paths(config, seed, method="fft", innovation_override=None):
 
 def ensemble_to_tsv(ensemble, path):
     s, n = ensemble.x.shape
-    with open(path, "w") as fh:
-        cols = ["k"] + [f"x_{r + 1}" for r in range(s)] + ["d"]
-        fh.write("\t".join(cols) + "\n")
-        for k in range(n):
-            vals = [str(k + 1)] + [f"{ensemble.x[r, k]:.17g}" for r in range(s)]
-            vals.append(f"{ensemble.d[k]:.17g}")
-            fh.write("\t".join(vals) + "\n")
+    header = "k\t" + "".join(f"x_{r + 1}\t" for r in range(s)) + "d\n"
+    write_rows(path, header, "%d" + "\t%.17g" * (s + 1) + "\n",
+               range(1, n + 1), *ensemble.x, ensemble.d)
 
 
 def ensemble_to_binary(ensemble, bin_path, sidecar_path):

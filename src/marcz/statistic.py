@@ -3,15 +3,19 @@ convergence/divergence verdict rule."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, LengthError
+from .ingest import write_rows
 
 DEFAULT_S_LIST = (1, 2, 3)
 DEFAULT_EXPONENTS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 PAPER_LENGTH = 2601
+# verdict rule: half/quarter window offsets past cfg.start, and the mean ratios
+TRAILING_OFFSETS = (1000, 1500)
+THRESHOLDS = (1.2, 1.05)
 
 
 @dataclass(frozen=True)
@@ -83,14 +87,13 @@ class MarcTrace:
     m_trace: np.ndarray
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("k,f\n")
-            for k, v in enumerate(self.f, start=1):
-                fh.write(f"{k},{v:.17g}\n")
+        write_rows(path, "k,f\n", "%d,%.17g\n", range(1, self.f.size + 1), self.f)
 
 
 def _finite_series(x):
     x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DomainError(f"series must be one-dimensional, got shape {x.shape}")
     bad = x.size - np.count_nonzero(np.isfinite(x))
     if bad:
         raise DomainError(f"series has {bad} non-finite value(s)")
@@ -147,8 +150,7 @@ class Verdict:
         return "C" if self.outcome == "Converges" else "D"
 
 
-def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=(1000, 1500),
-                        thresholds=(1.2, 1.05)):
+def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS):
     """Two-stage trailing-average rule: diverges unless the whole-window
     average exceeds 1.2x the last-half average and that exceeds 1.05x the
     last-quarter average. A NaN mean fails both comparisons and diverges."""
@@ -159,8 +161,8 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=(1000, 1500),
     mean_whole = decaying_avg(f[cfg.start - 1:])[-1]
     mean_half = decaying_avg(f[cfg.start - 1 + offsets[0]:])[-1]
     mean_quarter = decaying_avg(f[cfg.start - 1 + offsets[1]:])[-1]
-    if (mean_whole >= thresholds[0] * mean_half
-            and mean_half >= thresholds[1] * mean_quarter):
+    if (mean_whole >= THRESHOLDS[0] * mean_half
+            and mean_half >= THRESHOLDS[1] * mean_quarter):
         outcome = "Converges"
     else:
         outcome = "Diverges"
@@ -253,25 +255,20 @@ def tables_from_tsv(path):
     return out
 
 
-def _scaled_cfg_offsets(cfg, offsets, n, proportional):
-    if not proportional or n == PAPER_LENGTH:
-        return cfg, offsets
-    factor = n / PAPER_LENGTH
-    start = max(1, int(round(cfg.start * factor)))
-    scaled = tuple(int(round(o * factor)) for o in offsets)
-    return RunningMeanConfig(epsilon=cfg.epsilon, rho=cfg.rho, start=start), scaled
-
-
 def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   cfg=RunningMeanConfig(), label="", proportional=False,
-                  offsets=(1000, 1500), collect_traces=False):
+                  collect_traces=False):
     """Grid of verdicts over powers s and exponents 1/p.
 
     The running mean mu is computed once per grid and the residual mean m
     once per s; every cell then matches marcinkiewicz_trace(x, s, e, cfg).
     """
     x = _finite_series(x)
-    cfg, offsets = _scaled_cfg_offsets(cfg, offsets, x.size, proportional)
+    offsets = TRAILING_OFFSETS
+    if proportional and x.size != PAPER_LENGTH:
+        factor = x.size / PAPER_LENGTH
+        cfg = replace(cfg, start=max(1, int(round(cfg.start * factor))))
+        offsets = tuple(int(round(o * factor)) for o in offsets)
     table = VerdictTable(label=label, s_list=tuple(s_list),
                          exponent_list=tuple(exponent_list))
     traces = {}

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
+from .ingest import write_rows
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
 from .linproc import ProcessConfig, simulate_paths, simulate_tensor_paths
@@ -38,11 +40,10 @@ class SuiteResult:
         return all(r.passed for r in self.rows)
 
     def to_tsv(self, path):
-        with open(path, "w") as fh:
-            fh.write("check\tvalue\tlimit\tcomparison\tpassed\n")
-            for r in self.rows:
-                fh.write(f"{r.name}\t{r.value:.12g}\t{r.limit:.12g}\t"
-                         f"{r.comparison}\t{'pass' if r.passed else 'FAIL'}\n")
+        rows = [(r.name, r.value, r.limit, r.comparison, "pass" if r.passed else "FAIL")
+                for r in self.rows]
+        write_rows(path, "check\tvalue\tlimit\tcomparison\tpassed\n",
+                   "%s\t%.12g\t%.12g\t%s\t%s\n", *zip(*rows))
 
 
 def kernel_suite(radius=10 ** 6, lag_max=1000, gammas=(0.6, 0.75, 1.0, 1.5),
@@ -61,9 +62,20 @@ def kernel_suite(radius=10 ** 6, lag_max=1000, gammas=(0.6, 0.75, 1.0, 1.5),
     return result
 
 
-def _theory_ratio(x, mean_abs, p, idx_lo, idx_hi):
-    tr = marcinkiewicz_trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs)
-    return tr.f[idx_hi] / tr.f[idx_lo]
+def _ratio_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
+    """Median over reps of f(n)/f(compare_at) for the known-mean trace of the
+    series draw(rep_seed), per requested p."""
+    if reps < 1:
+        raise ConfigurationError(f"reps must be >= 1, got {reps}")
+    if n < compare_at:
+        raise ConfigurationError(f"n={n} is below compare_at={compare_at}")
+    ratios = {p: [] for p in p_values}
+    for r in range(reps):
+        x = draw(seed * 100003 + r)
+        for p in p_values:
+            f = marcinkiewicz_trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs).f
+            ratios[p].append(f[n - 1] / f[compare_at - 1])
+    return {p: float(np.median(v)) for p, v in ratios.items()}
 
 
 def lrd_ratio_medians(sigma=0.8, window=2 ** 14, n=2 ** 16, reps=32, seed=0,
@@ -76,13 +88,8 @@ def lrd_ratio_medians(sigma=0.8, window=2 ** 14, n=2 ** 16, reps=32, seed=0,
     mean_abs = math.sqrt(2.0 * np.sum(kern ** 2) / math.pi)
     cfg = ProcessConfig(s=1, coeffs=(spec,), innov=innov, sharing="shared",
                         length=n, window=window)
-    ratios = {p: [] for p in p_values}
-    for r in range(reps):
-        ens = simulate_paths(cfg, seed * 100003 + r)
-        for p in p_values:
-            ratios[p].append(_theory_ratio(ens.x[0], mean_abs, p,
-                                           compare_at - 1, n - 1))
-    return {p: float(np.median(v)) for p, v in ratios.items()}
+    return _ratio_medians(lambda sd: simulate_paths(cfg, sd).x[0], mean_abs, n,
+                          reps, seed, p_values, compare_at)
 
 
 def ht_ratio_medians(alpha=1.5, n=2 ** 16, reps=32, seed=0,
@@ -91,12 +98,8 @@ def ht_ratio_medians(alpha=1.5, n=2 ** 16, reps=32, seed=0,
     linear process: only c_0 = 1)."""
     innov = InnovationSpec(family="symmetric_pareto", df_or_alpha=alpha)
     mean_abs = alpha / (alpha - 1.0) * innov.scale
-    ratios = {p: [] for p in p_values}
-    for r in range(reps):
-        x = sample(innov, n, seed * 100003 + r)
-        for p in p_values:
-            ratios[p].append(_theory_ratio(x, mean_abs, p, compare_at - 1, n - 1))
-    return {p: float(np.median(v)) for p, v in ratios.items()}
+    return _ratio_medians(lambda sd: sample(innov, n, sd), mean_abs, n, reps,
+                          seed, p_values, compare_at)
 
 
 def mslln_suite(seed=1, reps=32, n=2 ** 16):

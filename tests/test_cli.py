@@ -48,6 +48,25 @@ class TestSimulateCmd:
         main(["simulate", "--config", cfg, "--seed", "3", "--out", str(b)])
         assert (a / "ensemble.bin").read_bytes() == (b / "ensemble.bin").read_bytes()
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]",
+        '{"sigma": 0.8, "n": 256, "window": 512, "innovation": "gaussian"}',
+        '{"sigma": "abc", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+        '{"sigma": 0.8, "n": "abc", "window": 512, "innovation": {"family": "gaussian"}}',
+        '{"s": "abc", "sigma": 0.8, "n": 256, "innovation": {"family": "gaussian"}}',
+        '{"sigma": 0.8, "n": 256, "window": "abc", "innovation": {"family": "gaussian"}}',
+    ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
+            "window_text"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not (out / "ensemble.tsv").exists()
+
 
 class TestAnalyzeCmd:
     def test_verdict_files(self, tmp_path, capsys):
@@ -92,6 +111,24 @@ class TestAnalyzeCmd:
         out = tmp_path / "analysis"
         rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
         assert rc == 3
+        assert not (out / "verdicts.tsv").exists()
+
+    @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns"])
+    def test_bad_returns_exit_code(self, tmp_path, capsys, bad):
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        lines = rets.read_text().splitlines()
+        if bad == "non_numeric_cell":
+            lines[1000] = "abc"
+        else:
+            lines[1:] = [f"{v},{v}" for v in lines[1:]]
+        rets.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
         assert not (out / "verdicts.tsv").exists()
 
 
@@ -141,10 +178,13 @@ class TestTablePredictCmd:
         ["--sigma", "0.7", "--s-list", "0,1"],
         ["--sigma", "0.7", "--alpha1", "2", "--s-list", "0,1"],
         ["--sigma", "0.7", "--exponents", "0.5,1.5"],
+        ["--sigma", "0.7", "--alpha1", "abc"],
     ])
     def test_bad_input_exit_code(self, capsys, argv):
         assert main(["table-predict", *argv]) == 3
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestVerifyCmd:
@@ -157,6 +197,19 @@ class TestVerifyCmd:
     def test_kernel_suite_small_radius(self, capsys):
         rc = main(["verify", "--suite", "kernel", "--radius", "10000"])
         assert rc == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "mslln", "--reps", "0"],
+        ["--suite", "mslln", "--length", "100"],
+        ["--suite", "kernel", "--radius", "10"],
+    ])
+    def test_bad_input_exit_code(self, tmp_path, capsys, argv):
+        out = tmp_path / "v"
+        assert main(["verify", *argv, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not out.exists()
 
 
 def test_cli_import_loads_numpy_only():

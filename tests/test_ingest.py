@@ -6,8 +6,11 @@ import pytest
 
 from marcz import load_prices, log_returns, select_window
 from marcz.errors import DomainError, EmptyDataError, LengthError, SchemaError
-from marcz.ingest import (PriceSeries, save_cleaned_tsv, save_window_csv,
-                          select_window_by_dates)
+from marcz.ingest import _BLOCK_ROWS, PriceSeries, select_window_by_dates
+from marcz.kernel import BoundReport
+from marcz.linproc import PathEnsemble, ensemble_to_tsv
+from marcz.statistic import MarcTrace
+from marcz.verify import SuiteResult
 
 
 class TestLoadPrices:
@@ -31,15 +34,6 @@ class TestLoadPrices:
     def test_label_default(self, fixtures_dir):
         series = load_prices(f"{fixtures_dir}/prices.csv", label="ACME")
         assert series.label == "ACME"
-
-    def test_save_roundtrip(self, fixtures_dir, tmp_path):
-        series = load_prices(f"{fixtures_dir}/prices.csv")
-        out = tmp_path / "clean.tsv"
-        save_cleaned_tsv(series, out)
-        lines = out.read_text().splitlines()
-        assert len(lines) == 6
-        values = np.array([float(l.split("\t")[1]) for l in lines[1:]])
-        assert np.array_equal(values, series.adj_close)
 
 
 class TestLogReturns:
@@ -96,7 +90,51 @@ class TestSelectWindow:
         w = select_window_by_dates(s, np.arange(5, dtype=float))
         assert np.array_equal(w, [1.0, 2.0, 3.0])
 
-    def test_window_csv(self, tmp_path):
-        out = tmp_path / "w.csv"
-        save_window_csv(np.array([1.5, -2.5]), out)
-        assert out.read_text() == "value\n1.5\n-2.5\n"
+
+_SPECIAL = [0.0, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308, math.nan,
+            math.inf, -math.inf]
+
+
+def _trace_bytes(path, a, b):
+    MarcTrace(s=1, exponent=0.5, f=a, mu_trace=a, m_trace=a).to_csv(path)
+    return "k,f\n" + "".join(f"{k},{v:.17g}\n" for k, v in enumerate(a, start=1))
+
+
+def _ensemble_bytes(path, a, b):
+    ens = PathEnsemble(x=np.vstack([a, b]), d=a * b, config=None, seed=0,
+                       truncation_bound=0.0)
+    ensemble_to_tsv(ens, path)
+    return "k\tx_1\tx_2\td\n" + "".join(
+        f"{k + 1}\t{a[k]:.17g}\t{b[k]:.17g}\t{a[k] * b[k]:.17g}\n" for k in range(a.size))
+
+
+def _bound_report_bytes(path, a, b):
+    lags = np.arange(2, a.size + 2)
+    report = BoundReport(gamma=0.75, mixed=False, lags=lags, sums=a, bounds=b)
+    report.to_tsv(path)
+    return "lag\tsum\tbound\tratio\n" + "".join(
+        f"{lag}\t{s:.12g}\t{t:.12g}\t{s / t:.12g}\n" for lag, s, t in zip(lags, a, b))
+
+
+def _suite_bytes(path, a, b):
+    result = SuiteResult(suite="s")
+    for i, (v, w) in enumerate(zip(a, b)):
+        result.check(f"check {i}", v, w, "<")
+    result.to_tsv(path)
+    return "check\tvalue\tlimit\tcomparison\tpassed\n" + "".join(
+        f"check {i}\t{v:.12g}\t{w:.12g}\t<\t{'pass' if v < w else 'FAIL'}\n"
+        for i, (v, w) in enumerate(zip(a, b)))
+
+
+@pytest.mark.parametrize("writer", [_trace_bytes, _ensemble_bytes,
+                                    _bound_report_bytes, _suite_bytes])
+@pytest.mark.parametrize("rows", [len(_SPECIAL), 2 * _BLOCK_ROWS + 3])
+def test_writer_bytes(tmp_path, writer, rows):
+    # every artifact writer against a per-row f-string reference, across
+    # special values and (for the long case) block boundaries
+    a = np.resize(np.array(_SPECIAL), rows)
+    b = np.resize(np.array(_SPECIAL[::-1] + [-1 / 3]), rows)
+    path = tmp_path / "out.txt"
+    with np.errstate(all="ignore"):
+        expected = writer(path, a, b)
+    assert path.read_text() == expected

@@ -145,6 +145,11 @@ class TestBoundReport:
         with pytest.raises(DomainError):
             verify_kernel_bound(1.5, 100, 10 ** 4, mixed=True)
 
+    def test_radius_below_twice_lag_max(self):
+        with pytest.raises(DomainError):
+            verify_kernel_bound(0.75, 10, 19)
+        assert verify_kernel_bound(0.75, 10, 20).lags[-1] == 10
+
     def test_report_tsv(self, tmp_path):
         report = verify_kernel_bound(0.75, 10, 10 ** 4)
         out = tmp_path / "report.tsv"

@@ -119,6 +119,13 @@ class TestTrace:
         with pytest.raises(DomainError):
             verdict_table(x)
 
+    def test_two_dimensional_rejected(self):
+        x = sample(InnovationSpec("gaussian"), 2 * 2601, 0).reshape(2601, 2)
+        with pytest.raises(DomainError):
+            marcinkiewicz_trace(x, 1, 0.8)
+        with pytest.raises(DomainError):
+            verdict_table(x)
+
     def test_invalid_exponent(self):
         with pytest.raises(ConfigurationError):
             marcinkiewicz_trace(np.ones(10), 1, 1.5)
