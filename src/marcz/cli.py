@@ -4,12 +4,14 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DomainError, MarczError, SchemaError
+from .errors import (ConfigurationError, DomainError, EmptyDataError, MarczError,
+                     SchemaError)
 from .ingest import load_prices, log_returns, select_window
 from .innovations import spec_from_config
 from .kernel import CoefficientSpec
@@ -82,10 +84,15 @@ def cmd_simulate(args):
 
 def _analysis_input(args):
     if args.returns_csv:
-        try:
-            values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
-        except ValueError as exc:
-            raise SchemaError(f"{args.returns_csv}: {exc}") from None
+        with warnings.catch_warnings():
+            # numpy warns, rather than fails, on a file without data rows
+            warnings.simplefilter("error", UserWarning)
+            try:
+                values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
+            except UserWarning:
+                raise EmptyDataError(f"{args.returns_csv}: no data rows") from None
+            except ValueError as exc:
+                raise SchemaError(f"{args.returns_csv}: {exc}") from None
         label = args.label or os.path.basename(args.returns_csv)
         return values, label
     series = load_prices(args.input, column_name=args.column, label=args.label)
@@ -112,13 +119,8 @@ def cmd_analyze(args):
 
 
 def cmd_estimate(args):
-    if args.table:
-        tables = tables_from_tsv(args.table)
-    else:
-        series = load_prices(args.input, column_name=args.column, label=args.label)
-        values = select_window(log_returns(series))
-        tables = [verdict_table(values, label=series.label)]
-    out = {t.label: json.loads(estimate_parameters(t).to_json()) for t in tables}
+    out = {t.label: json.loads(estimate_parameters(t).to_json())
+           for t in tables_from_tsv(args.table)}
     text = json.dumps(out, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
@@ -190,11 +192,7 @@ def build_parser():
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("estimate", help="invert a verdict table into (sigma, alpha_1)")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--table", help="verdict table TSV")
-    src.add_argument("--input", help="price CSV (analyze then estimate)")
-    p.add_argument("--column", default="Adj Close")
-    p.add_argument("--label")
+    p.add_argument("--table", required=True, help="verdict table TSV")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 

@@ -3,29 +3,17 @@
 import csv
 import math
 from dataclasses import dataclass
-from datetime import date, datetime
 from itertools import chain
 
 import numpy as np
 
 from .errors import DomainError, EmptyDataError, LengthError, SchemaError
 
-_DATE_FORMATS = ("%Y-%m-%d", "%Y/%m/%d", "%m/%d/%Y", "%d/%m/%Y")
 _BLOCK_ROWS = 256
-
-
-def _parse_date(text):
-    for fmt in _DATE_FORMATS:
-        try:
-            return datetime.strptime(text.strip(), fmt).date()
-        except ValueError:
-            continue
-    return None
 
 
 @dataclass
 class PriceSeries:
-    dates: list
     adj_close: np.ndarray
     label: str
 
@@ -39,8 +27,7 @@ def load_prices(path, column_name="Adj Close", label=None):
             raise SchemaError(f"{path}: no header row")
         if column_name not in reader.fieldnames:
             raise SchemaError(f"{path}: missing column {column_name!r}")
-        date_col = "Date" if "Date" in reader.fieldnames else None
-        dates, prices = [], []
+        prices = []
         for row in reader:
             try:
                 value = float(row[column_name])
@@ -49,12 +36,11 @@ def load_prices(path, column_name="Adj Close", label=None):
             if not math.isfinite(value):
                 continue
             prices.append(value)
-            dates.append(_parse_date(row[date_col]) if date_col else None)
     if not prices:
         raise EmptyDataError(f"{path}: no numeric rows in column {column_name!r}")
     if label is None:
         label = str(path)
-    return PriceSeries(dates=dates, adj_close=np.array(prices), label=label)
+    return PriceSeries(adj_close=np.array(prices), label=label)
 
 
 def log_returns(series):
@@ -79,18 +65,6 @@ def select_window(values, end_offset=100, length=2601):
     if n < length + end_offset:
         raise LengthError(f"series length {n} < required {length + end_offset}")
     return values[n - length - end_offset:n - end_offset]
-
-
-def select_window_by_dates(series, values, start=date(2009, 10, 23),
-                           end=date(2020, 2, 25)):
-    """Date-pinned alternative used when the file carries parseable dates."""
-    if any(d is None for d in series.dates):
-        raise SchemaError("series has unparsed dates; use select_window instead")
-    idx = [i for i, d in enumerate(series.dates) if start <= d <= end]
-    if not idx:
-        raise EmptyDataError("no observations inside the requested date range")
-    values = np.asarray(values)
-    return values[idx[0]:idx[-1] + 1]
 
 
 def write_rows(path, header, row_format, *columns):

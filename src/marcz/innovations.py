@@ -45,7 +45,7 @@ def _rng(seed, stream):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample(spec, count, seed, stream=0, flip_signs=False):
+def sample(spec, count, seed, stream=0):
     """Draw `count` i.i.d. innovations, deterministic in (spec, count, seed, stream)."""
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
@@ -57,10 +57,7 @@ def sample(spec, count, seed, stream=0, flip_signs=False):
     else:  # symmetric_pareto: P(|X| > x) = (x/scale)^(-alpha) for x >= scale
         u = rng.random(count)
         mag = spec.scale * u ** (-1.0 / spec.df_or_alpha)
-    signs = np.where(rng.random(count) < 0.5, 1.0, -1.0)
-    if flip_signs:
-        signs = -signs
-    return mag * signs
+    return mag * np.where(rng.random(count) < 0.5, 1.0, -1.0)
 
 
 def family_variance(spec):
@@ -92,15 +89,8 @@ def empirical_tail_check(samples, q, grid):
     return float(np.max(grid ** q * exceed / n))
 
 
-def spec_to_config(spec):
-    """Flat key-value block used by config files."""
-    cfg = {"family": spec.family, "scale": spec.scale}
-    if spec.family != "gaussian":
-        cfg["alpha"] = spec.df_or_alpha
-    return cfg
-
-
 def spec_from_config(cfg):
+    """InnovationSpec from the flat `innovation` block of a config file."""
     return InnovationSpec(
         family=cfg["family"],
         df_or_alpha=float(cfg.get("alpha", float("nan"))),

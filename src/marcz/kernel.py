@@ -1,5 +1,5 @@
-"""Power-law coefficient families, the three-branch normalization function,
-and numeric verification of the kernel cross-sum bounds."""
+"""Power-law coefficient families and numeric verification of the kernel
+cross-sum bounds against the three-branch bound."""
 
 import math
 from dataclasses import dataclass, field
@@ -47,29 +47,6 @@ def coefficient_array(spec, half_width=None):
         c = spec.scale * np.abs(l) ** -spec.sigma
     c[M] = spec.center_value
     return c
-
-
-@dataclass(frozen=True)
-class LPolyParams:
-    n: int
-    beta: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"n must be >= 1, got {self.n}")
-
-
-def l_poly(params, x):
-    """Three-branch normalization: power below the critical beta, log at it,
-    constant above."""
-    if x < 0:
-        raise DomainError(f"x must be nonnegative, got {x}")
-    crit = (params.n + 1) / (2 * params.n)
-    if params.beta < crit:
-        return x ** (params.n * (1 - 2 * params.beta) + 1)
-    if params.beta == crit:
-        return math.log(x + 1)
-    return 1.0
 
 
 def _power_table(gamma, max_index):
@@ -138,6 +115,8 @@ class BoundReport:
 
 
 def _lemma_bound(gamma, d):
+    """Three-branch bound on the (gamma, gamma) cross sum at lag d: power
+    below gamma = 1, log at it, d^(-gamma) above."""
     if gamma < 1.0:
         return d ** (1.0 - 2.0 * gamma)
     if gamma == 1.0:

@@ -102,26 +102,29 @@ def _fft_convolve_valid(xi, kern):
     return np.fft.irfft(spec, size)[..., kern.size - 1:n]
 
 
-def _component_innovations(config, seed, r, count):
-    stream = 0 if config.sharing == "shared" else r
-    return sample(config.innov, count, seed, stream=stream)
-
-
 def simulate_paths(config, seed, method="fft", innovation_override=None):
     """Simulate the s component paths by truncated convolution.
 
     Innovations cover indices 1-M .. n+M in one stream per component, so
-    overlapping windows share values exactly. `innovation_override` replaces
-    the sampler with a callable (r, count) -> vector for testing.
+    overlapping windows share values exactly; components with equal stream
+    and spec are computed once. `innovation_override` replaces the sampler
+    with a callable (r, count) -> vector for testing.
     """
     n, M = config.length, config.window
     count = n + 2 * M
     x = np.empty((config.s, n))
+    first_row = {}  # (stream, coefficient spec) -> row holding that path
     for r in range(config.s):
         if innovation_override is not None:
             xi = np.asarray(innovation_override(r, count), dtype=np.float64)
         else:
-            xi = _component_innovations(config, seed, r, count)
+            stream = 0 if config.sharing == "shared" else r
+            key = (stream, config.coeffs[r])
+            if key in first_row:
+                x[r] = x[first_row[key]]
+                continue
+            first_row[key] = r
+            xi = sample(config.innov, count, seed, stream=stream)
         kern = coefficient_array(config.coeffs[r], half_width=M)
         if method == "fft":
             x[r] = _fft_convolve_valid(xi, kern)

@@ -55,10 +55,6 @@ def predict_table(sigma, alpha1, s_list=DEFAULT_S_LIST,
     """Forward model: cell (s, e) converges iff p = 1/e is strictly below the
     rate bound with alpha_s = alpha1 / s. sigma >= 1 is clamped to the
     no-LRD closure value; alpha1=math.inf means light tails."""
-    if not (len(s_list) and len(exponent_list) and min(s_list) >= 1
-            and all(0.0 < e <= 1.0 for e in exponent_list)):
-        raise ConfigurationError("grids must be non-empty with s >= 1 and exponents "
-                                 f"in (0,1], got {s_list} and {exponent_list}")
     if not (float(sigma) > 0.5 and alpha1 > 0):
         raise DomainError(f"need sigma > 0.5 and alpha1 > 0, got {sigma} and {alpha1}")
     sig = min(float(sigma), 1.0)

@@ -69,15 +69,6 @@ def ewma(series, epsilon):
     return w.reshape(-1)[:n]
 
 
-def decaying_avg(series):
-    """Running arithmetic mean via the recursion
-    a_t = (1 - 1/t) a_{t-1} + (1/t) x_t."""
-    series = np.ascontiguousarray(series, dtype=np.float64)
-    if series.size == 0:
-        raise LengthError("series must be non-empty")
-    return np.cumsum(series) / np.arange(1, series.size + 1, dtype=np.float64)
-
-
 @dataclass
 class MarcTrace:
     s: int
@@ -158,9 +149,9 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
     need = cfg.start + offsets[1] + 1
     if f.size < need:
         raise LengthError(f"trace length {f.size} < required {need}")
-    mean_whole = decaying_avg(f[cfg.start - 1:])[-1]
-    mean_half = decaying_avg(f[cfg.start - 1 + offsets[0]:])[-1]
-    mean_quarter = decaying_avg(f[cfg.start - 1 + offsets[1]:])[-1]
+    tails = (f[cfg.start - 1 + o:] for o in (0, *offsets))
+    # np.cumsum sums sequentially (np.mean pairwise), which keeps the means' bits
+    mean_whole, mean_half, mean_quarter = (np.cumsum(v)[-1] / v.size for v in tails)
     if (mean_whole >= THRESHOLDS[0] * mean_half
             and mean_half >= THRESHOLDS[1] * mean_quarter):
         outcome = "Converges"
@@ -180,6 +171,17 @@ class VerdictTable:
     s_list: tuple
     exponent_list: tuple
     cells: dict = field(default_factory=dict)  # (s, exponent) -> Verdict
+
+    def __post_init__(self):
+        # exponents must differ as written (%g): TSV header, trace file names
+        s_list, exps = self.s_list, self.exponent_list
+        if not (s_list and exps and len(set(s_list)) == len(s_list)
+                and len({f"{e:g}" for e in exps}) == len(exps)
+                and all(isinstance(s, (int, np.integer)) and s >= 1 for s in s_list)
+                and all(0.0 < e <= 1.0 for e in exps)):
+            raise ConfigurationError(
+                "grid needs distinct integer s >= 1 and distinct exponents in (0,1], "
+                f"got s {s_list} and exponents {exps}")
 
     def outcome(self, s, e):
         return self.cells[(s, e)].letter
@@ -224,17 +226,13 @@ def tables_from_tsv(path):
         exponents = tuple(float(v) for v in header[2:])
     except ValueError:
         raise ConfigurationError(f"non-numeric exponent in header {header[2:]}") from None
-    if not exponents or len(set(exponents)) != len(exponents) or not all(
-            0.0 < e <= 1.0 for e in exponents):
-        raise ConfigurationError(
-            f"header exponents must be distinct and in (0,1], got {header[2:]}")
     grouped = {}
     for ln in lines[1:]:
         parts = ln.split("\t")
         label, s = parts[0], parts[1] if len(parts) > 1 else ""
         letters = [v.upper() for v in parts[2:]]
-        if not s.isdigit() or int(s) < 1:
-            raise ConfigurationError(f"row for {label}: s must be an integer >= 1, got {s!r}")
+        if not s.isdigit():
+            raise ConfigurationError(f"row for {label}: s must be an integer, got {s!r}")
         s = int(s)
         if len(letters) != len(exponents) or not set(letters) <= {"C", "D"}:
             raise ConfigurationError(
@@ -264,6 +262,9 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
     once per s; every cell then matches marcinkiewicz_trace(x, s, e, cfg).
     """
     x = _finite_series(x)
+    if x.size > 1 and x.min() == x.max():
+        # f would be EWMA rounding noise, and its verdict meaningless
+        raise DomainError(f"series is constant ({x[0]:g}); no verdict")
     offsets = TRAILING_OFFSETS
     if proportional and x.size != PAPER_LENGTH:
         factor = x.size / PAPER_LENGTH

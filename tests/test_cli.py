@@ -22,6 +22,16 @@ def _write_returns(path, n=2601, seed=0):
             fh.write(f"{v:.17g}\n")
 
 
+def _run_python(*args):
+    # the child inherits this environment and imports the marcz under test
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(marcz.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True)
+
+
 class TestSimulateCmd:
     def _config(self, tmp_path):
         cfg = {"s": 1, "sigma": 0.8, "n": 256, "window": 512,
@@ -113,18 +123,37 @@ class TestAnalyzeCmd:
         assert rc == 3
         assert not (out / "verdicts.tsv").exists()
 
-    @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns"])
-    def test_bad_returns_exit_code(self, tmp_path, capsys, bad):
+    @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
+                                     "constant"])
+    def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
         lines = rets.read_text().splitlines()
         if bad == "non_numeric_cell":
             lines[1000] = "abc"
-        else:
+        elif bad == "two_columns":
             lines[1:] = [f"{v},{v}" for v in lines[1:]]
+        elif bad == "header_only":
+            lines[1:] = []
+        else:
+            lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")
         out = tmp_path / "analysis"
-        rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
+        # in a child process, so that a library warning would reach stderr
+        proc = _run_python("-m", "marcz.cli", "analyze", "--returns-csv", str(rets),
+                           "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert not (out / "verdicts.tsv").exists()
+
+    @pytest.mark.parametrize("argv", [["--s-list", "1,1"], ["--exponents", "0.5,0.5"]])
+    def test_repeated_grid_value_exit_code(self, tmp_path, capsys, argv):
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--returns-csv", str(rets), *argv, "--out", str(out)])
         assert rc == 3
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -146,6 +175,11 @@ class TestEstimateCmd:
     def test_missing_file_exit_code(self, tmp_path):
         rc = main(["estimate", "--table", str(tmp_path / "nope.tsv")])
         assert rc == 3
+
+    def test_input_is_usage_error(self, fixtures_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", f"{fixtures_dir}/prices.csv"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("text", [
         "",
@@ -178,6 +212,8 @@ class TestTablePredictCmd:
         ["--sigma", "0.7", "--s-list", "0,1"],
         ["--sigma", "0.7", "--alpha1", "2", "--s-list", "0,1"],
         ["--sigma", "0.7", "--exponents", "0.5,1.5"],
+        ["--sigma", "0.7", "--s-list", "1,1"],
+        ["--sigma", "0.7", "--exponents", "0.5,0.5"],
         ["--sigma", "0.7", "--alpha1", "abc"],
     ])
     def test_bad_input_exit_code(self, capsys, argv):
@@ -213,16 +249,10 @@ class TestVerifyCmd:
 
 
 def test_cli_import_loads_numpy_only():
-    # the child inherits this environment and imports the marcz under test
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(marcz.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
     code = ("import sys, marcz.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'numba')))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
+    proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

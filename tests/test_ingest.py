@@ -1,12 +1,11 @@
 import math
-from datetime import date
 
 import numpy as np
 import pytest
 
 from marcz import load_prices, log_returns, select_window
 from marcz.errors import DomainError, EmptyDataError, LengthError, SchemaError
-from marcz.ingest import _BLOCK_ROWS, PriceSeries, select_window_by_dates
+from marcz.ingest import _BLOCK_ROWS, PriceSeries
 from marcz.kernel import BoundReport
 from marcz.linproc import PathEnsemble, ensemble_to_tsv
 from marcz.statistic import MarcTrace
@@ -17,7 +16,6 @@ class TestLoadPrices:
     def test_null_row_dropped(self, fixtures_dir):
         series = load_prices(f"{fixtures_dir}/prices.csv")
         assert series.adj_close.size == 5
-        assert series.dates[0] == date(2020, 1, 2)
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -38,29 +36,26 @@ class TestLoadPrices:
 
 class TestLogReturns:
     def test_constant_prices(self):
-        s = PriceSeries(dates=[None] * 5, adj_close=np.full(5, 42.0), label="c")
+        s = PriceSeries(adj_close=np.full(5, 42.0), label="c")
         assert np.all(log_returns(s) == 0)
 
     def test_first_element_zero(self):
-        s = PriceSeries(dates=[None, None], adj_close=np.array([1.0, math.e]),
-                        label="e")
+        s = PriceSeries(adj_close=np.array([1.0, math.e]), label="e")
         assert np.allclose(log_returns(s), [0.0, 1.0])
 
     def test_small_move(self):
-        s = PriceSeries(dates=[None, None], adj_close=np.array([100.0, 101.0]),
-                        label="x")
+        s = PriceSeries(adj_close=np.array([100.0, 101.0]), label="x")
         r = log_returns(s)
         assert r[1] == pytest.approx(math.log(1.01))
 
     def test_exponential_growth_constant_returns(self):
         t = np.arange(50, dtype=float)
-        s = PriceSeries(dates=[None] * 50, adj_close=np.exp(0.01 * t), label="g")
+        s = PriceSeries(adj_close=np.exp(0.01 * t), label="g")
         r = log_returns(s)
         assert np.max(np.abs(r[1:] - 0.01)) < 1e-12
 
     def test_nonpositive_price(self):
-        s = PriceSeries(dates=[None] * 3, adj_close=np.array([1.0, -2.0, 3.0]),
-                        label="bad")
+        s = PriceSeries(adj_close=np.array([1.0, -2.0, 3.0]), label="bad")
         with pytest.raises(DomainError):
             log_returns(s)
 
@@ -81,14 +76,6 @@ class TestSelectWindow:
         w = select_window(v)
         assert w.size == 2601
         assert w[-1] == 5000 - 100 - 1
-
-    def test_date_pinned(self):
-        dates = [date(2009, 10, 20), date(2009, 10, 23), date(2015, 1, 5),
-                 date(2020, 2, 25), date(2020, 3, 1)]
-        s = PriceSeries(dates=dates, adj_close=np.arange(5, dtype=float) + 1,
-                        label="d")
-        w = select_window_by_dates(s, np.arange(5, dtype=float))
-        assert np.array_equal(w, [1.0, 2.0, 3.0])
 
 
 _SPECIAL = [0.0, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308, math.nan,

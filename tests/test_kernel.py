@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marcz import (CoefficientSpec, LPolyParams, coefficient, coefficient_array,
-                   kernel_cross_sum, l_poly, verify_kernel_bound)
+from marcz import (CoefficientSpec, coefficient, coefficient_array, kernel_cross_sum,
+                   verify_kernel_bound)
 from marcz.errors import (ConfigurationError, DegeneratePairError, DomainError,
                           OutOfWindowError)
-from marcz.kernel import _cross_sum_gather, _cross_sum_lag
+from marcz.kernel import _cross_sum_gather, _cross_sum_lag, _lemma_bound
 
 
 class TestCoefficient:
@@ -57,31 +57,16 @@ class TestCoefficient:
         assert np.max(vals[l != 0]) == pytest.approx(spec.scale)
 
 
-class TestLPoly:
+class TestLemmaBound:
+    # the three branches of the (gamma, gamma) cross-sum bound at lag d
     def test_power_branch(self):
-        assert l_poly(LPolyParams(1, 0.75), 100.0) == pytest.approx(10.0)
+        assert _lemma_bound(0.75, 16) == 0.25  # d^(1 - 2 gamma)
 
     def test_log_branch(self):
-        assert l_poly(LPolyParams(1, 1.0), math.e - 1.0) == pytest.approx(1.0)
+        assert _lemma_bound(1.0, 3) == pytest.approx(math.log(4) / 3)  # log(d+1)/d
 
-    def test_constant_branch(self):
-        assert l_poly(LPolyParams(2, 0.9), 50.0) == 1.0
-
-    def test_negative_x(self):
-        with pytest.raises(DomainError):
-            l_poly(LPolyParams(1, 0.75), -1.0)
-
-    @given(st.floats(min_value=2.0, max_value=1e3),
-           st.floats(min_value=0.5, max_value=1.5))
-    @settings(max_examples=50, deadline=None)
-    def test_n2_below_n1(self, x, beta):
-        # ordering holds on the tail x >= e-1 for decay exponents beta >= 1/2
-        assert l_poly(LPolyParams(2, beta), x) <= l_poly(LPolyParams(1, beta), x) + 1e-12
-
-    def test_nonincreasing_in_beta_first_branch(self):
-        x = 7.0
-        vals = [l_poly(LPolyParams(1, b), x) for b in (0.6, 0.7, 0.8, 0.9)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
+    def test_decay_branch(self):
+        assert _lemma_bound(1.5, 4) == 0.125  # d^(-gamma)
 
 
 class TestCrossSum:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
-                   coefficient_array, simulate_paths, simulate_tensor_paths,
-                   truncation_error_bound)
+                   coefficient_array, linproc, sample, simulate_paths,
+                   simulate_tensor_paths, truncation_error_bound)
 from marcz.errors import ConfigurationError, DomainError, SizeError
 from marcz.linproc import (_fft_convolve_valid, _fft_length, ensemble_to_binary,
                            ensemble_to_tsv)
@@ -35,6 +35,24 @@ class TestSimulate:
     def test_shared_components_equal(self):
         ens = simulate_paths(_config(s=2, sigma=0.8), 3)
         assert np.array_equal(ens.x[0], ens.x[1])
+
+    def test_shared_component_convolved_once(self, monkeypatch):
+        calls = []
+
+        def counting(xi, kern):
+            calls.append(1)
+            return _fft_convolve_valid(xi, kern)
+
+        cfg = _config(s=2, sigma=0.8)
+        monkeypatch.setattr(linproc, "_fft_convolve_valid", counting)
+        ens = simulate_paths(cfg, 3)
+        assert len(calls) == 1
+        # the same path as when both components are convolved
+        xi = sample(cfg.innov, cfg.length + 2 * cfg.window, 3)
+        both = simulate_paths(cfg, 3, innovation_override=lambda r, count: xi)
+        assert len(calls) == 3
+        assert np.array_equal(ens.x, both.x)
+        assert np.array_equal(ens.d, both.d)
 
     def test_independent_components_differ(self):
         ens = simulate_paths(_config(s=2, sigma=0.8, sharing="independent"), 3)

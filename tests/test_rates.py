@@ -123,6 +123,8 @@ class TestPredictTable:
         (0.7, 2.0, {"exponent_list": (0.5, 1.5)}),
         (0.7, 2.0, {"exponent_list": (0.0, 0.5)}),
         (0.7, 2.0, {"exponent_list": (math.nan,)}),
+        (0.7, 2.0, {"s_list": (1, 1)}),
+        (0.7, 2.0, {"exponent_list": (0.5, 0.5)}),
     ])
     def test_rejects_bad_input(self, sigma, alpha1, kwargs):
         with pytest.raises((ConfigurationError, DomainError)):

@@ -6,9 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from marcz import (DEFAULT_EXPONENTS, InnovationSpec, RunningMeanConfig,
-                   Verdict, VerdictTable, convergence_verdict, decaying_avg,
-                   ewma, marcinkiewicz_trace, sample, tables_from_tsv,
-                   verdict_table)
+                   Verdict, VerdictTable, convergence_verdict, ewma,
+                   marcinkiewicz_trace, sample, tables_from_tsv, verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
 
 
@@ -60,22 +59,6 @@ class TestEwma:
             assert np.all(np.isfinite(out))
             ref = _ewma_loop(x, eps)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-
-
-class TestDecayingAvg:
-    def test_constant(self):
-        assert np.allclose(decaying_avg(np.full(10, 2.0)), 2.0)
-
-    def test_running_means(self):
-        assert np.allclose(decaying_avg(np.array([2.0, 4.0, 6.0])), [2.0, 3.0, 4.0])
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1,
-                    max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_equals_arithmetic_mean(self, values):
-        x = np.array(values)
-        final = decaying_avg(x)[-1]
-        assert final == pytest.approx(np.mean(x), abs=1e-9)
 
 
 class TestTrace:
@@ -182,6 +165,17 @@ class TestVerdictRule:
         with pytest.raises(LengthError):
             convergence_verdict(tr)
 
+    @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4,
+                    max_size=200))
+    @settings(max_examples=50, deadline=None)
+    def test_means_are_tail_averages(self, values):
+        tr = marcinkiewicz_trace(np.zeros(len(values)), 1, 0.5)
+        tr.f = np.array(values)
+        v = convergence_verdict(tr, RunningMeanConfig(start=1), offsets=(1, 2))
+        means = (v.mean_whole, v.mean_half, v.mean_quarter)
+        for mean, tail in zip(means, (tr.f, tr.f[1:], tr.f[2:])):
+            assert mean == pytest.approx(np.mean(tail), abs=1e-9)
+
 
 class TestVerdictTable:
     def test_row_monotone(self):
@@ -191,6 +185,42 @@ class TestVerdictTable:
         for s in table.s_list:
             row = table.row(s)
             assert "".join(row) == "D" * row.count("D") + "C" * row.count("C")
+
+    @pytest.mark.parametrize("c", [0.0, 3.7, 0.01, -0.001])
+    def test_constant_series_rejected(self, c):
+        # f of a constant series is EWMA rounding noise: no verdict
+        with pytest.raises(DomainError):
+            verdict_table(np.full(2601, c))
+
+    @pytest.mark.parametrize("s_list,exponents", [
+        ((1, 1), (0.5, 1.0)),
+        ((1, 2), (0.5, 0.5)),
+        ((1,), (0.5, 0.5000001)),
+        ((), (0.5,)),
+        ((1,), ()),
+        ((0, 1), (0.5,)),
+        ((1.5,), (0.5,)),
+        ((1,), (0.0,)),
+        ((1,), (1.5,)),
+        ((1,), (float("nan"),)),
+    ])
+    def test_bad_grid_rejected(self, s_list, exponents):
+        with pytest.raises(ConfigurationError):
+            VerdictTable(label="x", s_list=s_list, exponent_list=exponents)
+        with pytest.raises(ConfigurationError):
+            verdict_table(sample(InnovationSpec("gaussian"), 2601, 0), s_list, exponents)
+
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=-20, max_value=20))
+    @settings(max_examples=50, deadline=None)
+    def test_power_of_two_scaling(self, seed, k):
+        # scaling by 2^k is exact in floating point, so every cell keeps its
+        # letter and its ratios to the bit
+        x = sample(InnovationSpec("student_t", 3.0), 2601, seed)
+        a, b = verdict_table(x), verdict_table(2.0 ** k * x)
+        for key, v in a.cells.items():
+            assert b.cells[key].letter == v.letter
+            assert np.array(b.cells[key].ratios).tobytes() == np.array(v.ratios).tobytes()
 
     def test_cells_match_trace(self):
         x = sample(InnovationSpec("student_t", 3.0), 2601, 9)
