@@ -10,6 +10,10 @@ from .errors import ConfigurationError, DegeneratePairError, DomainError, OutOfW
 from .ingest import write_rows
 
 
+# l-block length of the kernel cross-sum convolution; bounds its memory
+_FFT_BLOCK = 2 ** 15
+
+
 @dataclass(frozen=True)
 class CoefficientSpec:
     """Symmetric coefficient family c_l = scale * |l|^(-sigma), c_0 = center_value."""
@@ -49,12 +53,48 @@ def coefficient_array(spec, half_width=None):
     return c
 
 
-def _power_table(gamma, max_index):
-    m = np.arange(max_index + 1, dtype=np.float64)
+def _fft_length(target):
+    """Smallest 2^a * 3^b * 5^c >= target."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p2 = 1 << (-(-target // p35) - 1).bit_length()
+            best = min(best, p2 * p35)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _powers(gamma, m):
+    """|m|^(-gamma) for a float64 index array, with 0 where m == 0 (the
+    excluded terms l = j and l = k of the cross sum)."""
     with np.errstate(divide="ignore"):
-        t = m ** -gamma
-    t[0] = 0.0  # index 0 is never referenced by a valid term
+        t = np.abs(m) ** -gamma
+    t[m == 0] = 0.0
     return t
+
+
+def _cross_sums(gamma_left, gamma_right, lag_max, radius):
+    """Sum over l in [-radius, radius] of A(d-l) * B(l) for d = 2..lag_max,
+    with A(m) = |m|^(-gamma_left), B(l) = |l|^(-gamma_right), A(0) = B(0) = 0.
+
+    For all lags at once this is the valid part of one linear convolution.
+    l runs in blocks of _FFT_BLOCK; each block adds rfft(A segment) *
+    rfft(B block) to one spectrum, and one irfft gives every lag. A length
+    >= the A segment wraps only into outputs that valid mode discards.
+    """
+    block = min(_FFT_BLOCK, 2 * radius + 1)
+    width = block + lag_max - 2  # A over m = d - l for the block's l and all d
+    size = _fft_length(width)
+    spec = np.zeros(size // 2 + 1, dtype=np.complex128)
+    for l0 in range(-radius, radius + 1, block):
+        m = np.arange(3 - l0 - block, lag_max + 1 - l0, dtype=np.float64)
+        l = np.arange(l0, min(l0 + block, radius + 1), dtype=np.float64)
+        a = np.fft.rfft(_powers(gamma_left, m), size)
+        spec += a * np.fft.rfft(_powers(gamma_right, l), size)  # pads a short last block
+    return np.fft.irfft(spec, size)[block - 1:width]
 
 
 def _cross_sum_gather(j, k, pw_left, pw_right, radius):
@@ -83,9 +123,9 @@ def kernel_cross_sum(j, k, gamma_left, gamma_right, radius):
         raise DomainError("both exponents must exceed 1/2")
     if radius < 2 * abs(j - k):
         raise DomainError(f"radius {radius} must be >= 2*|j-k| = {2 * abs(j - k)}")
-    hi = radius + max(abs(j), abs(k))
-    pw_left = _power_table(gamma_left, hi)
-    pw_right = _power_table(gamma_right, hi)
+    m = np.arange(radius + max(abs(j), abs(k)) + 1, dtype=np.float64)
+    pw_left = _powers(gamma_left, m)
+    pw_right = _powers(gamma_right, m)
     if k == 0 and j > 0:
         return _cross_sum_lag(j, pw_left, pw_right, radius)
     return _cross_sum_gather(j, k, pw_left, pw_right, radius)
@@ -139,14 +179,7 @@ def verify_kernel_bound(gamma, lag_max, radius, mixed=False):
         raise DomainError("lag_max must be >= 2")
     if radius < 2 * lag_max:
         raise DomainError(f"radius {radius} must be >= 2*lag_max = {2 * lag_max}")
-    gl, gr = (gamma, 2.0 * gamma) if mixed else (gamma, gamma)
-    hi = radius + lag_max
-    pw_left = _power_table(gl, hi)
-    pw_right = _power_table(gr, hi)
     lags = np.arange(2, lag_max + 1)
-    sums = np.empty(lags.size)
-    bounds = np.empty(lags.size)
-    for i, d in enumerate(lags):
-        sums[i] = _cross_sum_lag(int(d), pw_left, pw_right, radius)
-        bounds[i] = d ** -gamma if mixed else _lemma_bound(gamma, int(d))
+    sums = _cross_sums(gamma, 2.0 * gamma if mixed else gamma, lag_max, radius)
+    bounds = np.array([d ** -gamma if mixed else _lemma_bound(gamma, int(d)) for d in lags])
     return BoundReport(gamma=gamma, mixed=mixed, lags=lags, sums=sums, bounds=bounds)

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, SizeError
 from .ingest import write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
-from .kernel import CoefficientSpec, coefficient_array
+from .kernel import CoefficientSpec, _fft_length, coefficient_array
 
 DEFAULT_WINDOW = 2 ** 14
 TENSOR_ENTRY_CAP = 10 ** 6
@@ -74,20 +74,6 @@ def truncation_error_bound(spec, M, innov_variance):
         raise DomainError("innovation variance must be positive")
     return innov_variance * spec.scale ** 2 * 2.0 * M ** (1.0 - 2.0 * spec.sigma) / (
         2.0 * spec.sigma - 1.0)
-
-
-def _fft_length(target):
-    """Smallest 2^a * 3^b * 5^c >= target."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p2 = 1 << (-(-target // p35) - 1).bit_length()
-            best = min(best, p2 * p35)
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def _fft_convolve_valid(xi, kern):

@@ -1,15 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from marcz import (CoefficientSpec, coefficient, coefficient_array, kernel_cross_sum,
                    verify_kernel_bound)
 from marcz.errors import (ConfigurationError, DegeneratePairError, DomainError,
                           OutOfWindowError)
-from marcz.kernel import _cross_sum_gather, _cross_sum_lag, _lemma_bound
+from marcz.kernel import (_FFT_BLOCK, _cross_sum_gather, _cross_sum_lag, _lemma_bound,
+                          _powers)
 
 
 class TestCoefficient:
@@ -114,6 +116,54 @@ class TestCrossSum:
         a = kernel_cross_sum(2, 0, 1.5, 1.5, 10 ** 5)
         b = kernel_cross_sum(2, 0, 1.5, 1.5, 2 * 10 ** 5)
         assert b - a < 1e-8
+
+
+def _direct_sums(gamma_left, gamma_right, lag_max, radius):
+    # the oracle: three dot products per lag over the full power tables
+    m = np.arange(radius + lag_max + 1, dtype=np.float64)
+    pw_left, pw_right = _powers(gamma_left, m), _powers(gamma_right, m)
+    return np.array([_cross_sum_lag(d, pw_left, pw_right, radius)
+                     for d in range(2, lag_max + 1)])
+
+
+@st.composite
+def _bound_case(draw):
+    mixed = draw(st.booleans())
+    gamma = draw(st.floats(min_value=0.5, max_value=1.0 if mixed else 2.0,
+                           exclude_min=True, exclude_max=mixed))
+    lag_max = draw(st.integers(min_value=2, max_value=300))
+    radius = draw(st.integers(min_value=2 * lag_max, max_value=3 * _FFT_BLOCK))
+    return gamma, mixed, lag_max, radius
+
+
+class TestCrossSumsByFft:
+    @given(_bound_case())
+    @example((2.0, False, 300, 1000))  # one block, shorter than _FFT_BLOCK
+    @example((0.75, True, 300, _FFT_BLOCK + 5))  # 2R+1 not a multiple of the block
+    @example((1.5, False, 2, _FFT_BLOCK))  # last block holds l = R alone
+    @settings(max_examples=50, deadline=None)
+    def test_matches_direct_dots(self, case):
+        gamma, mixed, lag_max, radius = case
+        sums = verify_kernel_bound(gamma, lag_max, radius, mixed=mixed).sums
+        ref = _direct_sums(gamma, 2.0 * gamma if mixed else gamma, lag_max, radius)
+        np.testing.assert_allclose(sums, ref, rtol=1e-11, atol=0)
+
+    def test_full_radius_worst_case(self):
+        sums = verify_kernel_bound(1.5, 1000, 10 ** 6).sums
+        for d in (2, 10, 100, 1000):
+            assert sums[d - 2] == pytest.approx(
+                kernel_cross_sum(d, 0, 1.5, 1.5, 10 ** 6), rel=1e-11, abs=0)
+
+    def test_memory_bounded(self):
+        # numpy reports its buffers to tracemalloc; the two power tables of
+        # the direct form take 16 MB at this radius, one unblocked FFT more
+        tracemalloc.start()
+        try:
+            verify_kernel_bound(0.6, 1000, 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestBoundReport:

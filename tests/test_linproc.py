@@ -7,8 +7,8 @@ from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
                    coefficient_array, linproc, sample, simulate_paths,
                    simulate_tensor_paths, truncation_error_bound)
 from marcz.errors import ConfigurationError, DomainError, SizeError
-from marcz.linproc import (_fft_convolve_valid, _fft_length, ensemble_to_binary,
-                           ensemble_to_tsv)
+from marcz.kernel import _fft_length
+from marcz.linproc import _fft_convolve_valid, ensemble_to_binary, ensemble_to_tsv
 
 
 def _config(s=1, sigma=0.75, n=2 ** 10, window=2 ** 10, sharing="shared",
