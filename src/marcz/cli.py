@@ -102,6 +102,56 @@ def _analysis_input(args):
     return returns, series.label
 
 
+def _write_traces(jobs):
+    """Run `trace.to_csv(path)` for every (path, trace) of `jobs`, spread in
+    stride shares over up to one process per usable CPU.
+
+    The parent writes share 0 and forks one child per other share; a child
+    reports its first failure through a pipe and ends with os._exit, so it
+    never returns into the caller or flushes the parent's buffers. Without
+    os.fork or os.sched_getaffinity the one share runs in-process. Raises
+    the parent's own error, else the first child's, once every child is
+    reaped.
+    """
+    cpus = (os.sched_getaffinity(0)
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else (0,))
+    workers = max(1, min(len(cpus), len(jobs)))
+    children, failures = [], []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork in a threaded process, and
+                # numpy's idle BLAS pool counts; the child only formats text
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for path, trace in jobs[w::workers]:
+                        trace.to_csv(path)
+                    status = 0
+                except Exception as exc:
+                    os.write(write_fd, str(exc).encode())
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        for path, trace in jobs[::workers]:
+            trace.to_csv(path)
+    finally:
+        for pid, read_fd in children:
+            with open(read_fd, "rb") as pipe:
+                message = pipe.read().decode()
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                failures.append(message or
+                                f"trace writer process {pid} ended with wait status {status}")
+    if failures:
+        raise OSError(failures[0])
+
+
 def cmd_analyze(args):
     values, label = _analysis_input(args)
     os.makedirs(args.out, exist_ok=True)
@@ -109,8 +159,8 @@ def cmd_analyze(args):
     table, traces = verdict_table(values, args.s_list, args.exponents, cfg,
                                   label=label, proportional=args.proportional,
                                   collect_traces=True)
-    for (s, e), tr in traces.items():
-        tr.to_csv(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"))
+    _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
+                   for (s, e), tr in traces.items()])
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
         fh.write(table.to_json())
     _write_manifest(args.out, "analyze", args, [])

@@ -161,6 +161,67 @@ class TestAnalyzeCmd:
         assert not (out / "verdicts.tsv").exists()
 
 
+class TestTraceWriters:
+    """analyze writes its trace files from up to one process per usable CPU;
+    three are claimed here so that two writers are forked on any runner."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    def test_same_bytes_as_serial_writer(self, tmp_path, capsys, forks):
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
+        assert len(forks) == 2
+        values = np.loadtxt(rets, skiprows=1, delimiter=",", ndmin=1)
+        table, traces = verdict_table(values, label="returns.csv", collect_traces=True)
+        assert len(list(out.glob("trace_*.csv"))) == len(traces)
+        serial = tmp_path / "serial.csv"
+        for (s, e), tr in traces.items():
+            tr.to_csv(serial)
+            assert (out / f"trace_s{s}_e{e:g}.csv").read_bytes() == serial.read_bytes()
+        assert (out / "verdicts.tsv").read_text() == table.to_tsv()
+        assert (out / "verdicts.json").read_text() == table.to_json()
+        assert capsys.readouterr().out == table.to_tsv()
+
+    # with 3 writers the parent writes traces 0, 3, ... and the first child
+    # 1, 4, ... of the grid in (s, e) order
+    @pytest.mark.parametrize("name", ["trace_s1_e0.5.csv", "trace_s1_e0.6.csv"],
+                             ids=["parent_share", "child_share"])
+    def test_write_failure_exit_code(self, tmp_path, capsys, forks, name):
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        (out / name).mkdir(parents=True)
+        rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
+        assert rc == 3
+        assert len(forks) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert name in captured.err
+        assert not (out / "verdicts.tsv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_fork_warns_nothing(self, tmp_path):
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        code = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1, 2}; "
+                "from marcz.cli import main; sys.exit(main(sys.argv[1:]))")
+        proc = _run_python("-W", "error::DeprecationWarning", "-c", code, "analyze",
+                           "--returns-csv", str(rets), "--out", str(tmp_path / "a"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
+
 class TestEstimateCmd:
     def test_from_fixture_table(self, fixtures_dir, tmp_path, capsys):
         out = tmp_path / "est.json"
@@ -251,7 +312,8 @@ class TestVerifyCmd:
 def test_cli_import_loads_numpy_only():
     code = ("import sys, marcz.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'numba')))")
+            "if m.split('.')[0] in ('scipy', 'numba', 'multiprocessing', "
+            "'concurrent')))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
