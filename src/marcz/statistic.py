@@ -101,6 +101,14 @@ def _centering(value, n):
     return arr
 
 
+def _partial_sums(residual, m):
+    """|sum_{j<=k} (residual_j - m_j)| for k = 1..n; m is a scalar or a
+    length-n trace."""
+    out = np.subtract(residual, m)
+    np.cumsum(out, out=out)
+    return np.abs(out, out=out)
+
+
 def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
     """f(k) = k^(-exponent) * |sum_{j<=k} (|x_j - mu_j|^s - m_j)|.
 
@@ -124,7 +132,7 @@ def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None
     else:
         m_trace = _centering(m, x.size)
     k = np.arange(1, x.size + 1, dtype=np.float64)
-    f = np.abs(np.cumsum(residual - m_trace)) / k ** exponent
+    f = _partial_sums(residual, m_trace) / k ** exponent
     return MarcTrace(s=s, exponent=exponent, f=f, mu_trace=mu_trace, m_trace=m_trace)
 
 
@@ -258,8 +266,9 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   collect_traces=False):
     """Grid of verdicts over powers s and exponents 1/p.
 
-    The running mean mu is computed once per grid and the residual mean m
-    once per s; every cell then matches marcinkiewicz_trace(x, s, e, cfg).
+    The running mean mu and each k^e are computed once per grid, the
+    residual, its mean m and its partial sums once per s; every cell then
+    matches marcinkiewicz_trace(x, s, e, cfg) bit for bit.
     """
     x = _finite_series(x)
     if x.size > 1 and x.min() == x.max():
@@ -272,12 +281,24 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
         offsets = tuple(int(round(o * factor)) for o in offsets)
     table = VerdictTable(label=label, s_list=tuple(s_list),
                          exponent_list=tuple(exponent_list))
-    traces = {}
     mu = ewma(x, cfg.epsilon)
+    rows = []  # (s, m, partial sums) per row
     for s in s_list:
-        m = ewma(np.abs(x - mu) ** s, cfg.rho)
-        for e in exponent_list:
-            tr = marcinkiewicz_trace(x, s, e, cfg, mu=mu, m=m)
+        residual = np.abs(x - mu) ** s
+        m = ewma(residual, cfg.rho)
+        rows.append((s, m, _partial_sums(residual, m)))
+    del residual
+    # Exponent-major with one k^e alive at a time, and the last exponent's f
+    # written into its row's partial-sum buffer: the grid then peaks no higher
+    # in memory than with one trace per cell. The dicts keep row-major order.
+    keys = [(s, e) for s in s_list for e in exponent_list]
+    table.cells, traces = dict.fromkeys(keys), dict.fromkeys(keys)
+    k = np.arange(1, x.size + 1, dtype=np.float64)
+    for i, e in enumerate(exponent_list, 1):
+        norm = k ** e
+        for s, m, sums in rows:
+            f = np.divide(sums, norm, out=sums if i == len(exponent_list) else None)
+            tr = MarcTrace(s=s, exponent=e, f=f, mu_trace=mu, m_trace=m)
             table.cells[(s, e)] = convergence_verdict(tr, cfg, offsets)
             if collect_traces:
                 traces[(s, e)] = tr

@@ -12,7 +12,7 @@ from .ingest import write_rows
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
 from .linproc import ProcessConfig, simulate_paths, simulate_tensor_paths
-from .statistic import marcinkiewicz_trace
+from .statistic import _partial_sums
 
 
 @dataclass
@@ -69,12 +69,17 @@ def _ratio_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
     if n < compare_at:
         raise ConfigurationError(f"n={n} is below compare_at={compare_at}")
+    if not all(0.0 < 1.0 / p <= 1.0 for p in p_values):
+        raise ConfigurationError(f"every p must be >= 1 and finite, got {p_values}")
+    # f(k) = |sum_{j<=k} (|x_j| - mean_abs)| / k^(1/p), read at k = compare_at and n
+    at = np.array([compare_at, n], dtype=np.float64)
+    norms = {p: at ** (1.0 / p) for p in p_values}
     ratios = {p: [] for p in p_values}
     for r in range(reps):
-        x = draw(seed * 100003 + r)
+        sums = _partial_sums(np.abs(draw(seed * 100003 + r)), mean_abs)[[compare_at - 1, n - 1]]
         for p in p_values:
-            f = marcinkiewicz_trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs).f
-            ratios[p].append(f[n - 1] / f[compare_at - 1])
+            f_at, f_n = sums / norms[p]
+            ratios[p].append(f_n / f_at)
     return {p: float(np.median(v)) for p, v in ratios.items()}
 
 

@@ -6,7 +6,7 @@ import pytest
 from marcz import (InnovationSpec, empirical_tail_check, family_variance,
                    sample, tail_coefficient)
 from marcz.errors import ConfigurationError
-from marcz.innovations import spec_from_config
+from marcz.innovations import _rng, spec_from_config
 
 
 class TestSpec:
@@ -37,6 +37,27 @@ class TestSpec:
             assert back.scale == spec.scale
             if spec.family != "gaussian":
                 assert back.df_or_alpha == spec.df_or_alpha
+
+
+def _sample_out_of_place(spec, count, seed, stream):
+    """sample() with a fresh array per step, the reference for its bits."""
+    rng = _rng(seed, stream)
+    if spec.family == "gaussian":
+        mag = np.abs(rng.standard_normal(count)) * spec.scale
+    elif spec.family == "student_t":
+        mag = np.abs(rng.standard_t(spec.df_or_alpha, size=count)) * spec.scale
+    else:
+        mag = spec.scale * rng.random(count) ** (-1.0 / spec.df_or_alpha)
+    return mag * np.where(rng.random(count) < 0.5, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("spec", [
+    InnovationSpec("gaussian", scale=2.0), InnovationSpec("student_t", 3.0, scale=0.5),
+    InnovationSpec("symmetric_pareto", 1.5), InnovationSpec("symmetric_pareto", 1.0),
+    InnovationSpec("symmetric_pareto", 2.0, scale=3.0)])
+def test_in_place_sample_matches_reference(spec):
+    got = sample(spec, 4097, 11, stream=2)
+    assert got.tobytes() == _sample_out_of_place(spec, 4097, 11, 2).tobytes()
 
 
 class TestSample:

@@ -2,13 +2,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
                    coefficient_array, linproc, sample, simulate_paths,
                    simulate_tensor_paths, truncation_error_bound)
 from marcz.errors import ConfigurationError, DomainError, SizeError
 from marcz.kernel import _fft_length
-from marcz.linproc import _fft_convolve_valid, ensemble_to_binary, ensemble_to_tsv
+from marcz.linproc import (_fft_convolve_valid, _kernel_spectrum, ensemble_to_binary,
+                           ensemble_to_tsv)
 
 
 def _config(s=1, sigma=0.75, n=2 ** 10, window=2 ** 10, sharing="shared",
@@ -39,9 +42,9 @@ class TestSimulate:
     def test_shared_component_convolved_once(self, monkeypatch):
         calls = []
 
-        def counting(xi, kern):
+        def counting(xi, kern_spectrum, kern_size):
             calls.append(1)
-            return _fft_convolve_valid(xi, kern)
+            return _fft_convolve_valid(xi, kern_spectrum, kern_size)
 
         cfg = _config(s=2, sigma=0.8)
         monkeypatch.setattr(linproc, "_fft_convolve_valid", counting)
@@ -116,18 +119,58 @@ class TestFftConvolve:
         rng = np.random.default_rng(n)
         xi, kern = rng.standard_normal(n), rng.standard_normal(m)
         ref = np.convolve(xi, kern, "valid")
-        out = _fft_convolve_valid(xi, kern)
+        out = _convolve(xi, kern)
         assert out.shape == ref.shape
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_rows(self):
         rng = np.random.default_rng(3)
         xi, kern = rng.standard_normal((3, 301)), rng.standard_normal(101)
-        out = _fft_convolve_valid(xi, kern)
+        out = _convolve(xi, kern)
         assert out.shape == (3, 201)
         for row, got in zip(xi, out):
             ref = np.convolve(row, kern, "valid")
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestKernelSpectrum:
+    @given(st.lists(st.tuples(st.floats(0.51, 1.0), st.integers(1, 200),
+                              st.integers(1, 64)), min_size=1, max_size=3),
+           st.lists(st.integers(0, 2), min_size=2, max_size=8),
+           st.integers(0, 2 ** 31))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_matches_direct(self, cases, order, seed):
+        # consecutive repeats in `order` hit the cached spectrum, the rest miss
+        first = {}
+        for i in order:
+            sigma, n, window = cases[i % len(cases)]
+            cfg = _config(sigma=sigma, n=n, window=window)
+            fft = simulate_paths(cfg, seed).x
+            direct = simulate_paths(cfg, seed, method="direct").x
+            scale = max(1.0, np.max(np.abs(direct)))
+            assert np.max(np.abs(fft - direct)) / scale < 1e-10
+            assert np.array_equal(first.setdefault(i % len(cases), fft), fft)
+
+    def test_read_only_and_keyed_on_every_input(self):
+        spec, size = CoefficientSpec(sigma=0.8, window=64), _fft_length(300)
+        base = _kernel_spectrum(spec, 64, size)
+        assert not base.flags.writeable
+        with pytest.raises(ValueError):
+            base *= 2.0
+        assert _kernel_spectrum(spec, 64, size) is base
+        for changed, half_width, length in [
+                (CoefficientSpec(sigma=0.7, window=64), 64, size),
+                (CoefficientSpec(sigma=0.8, scale=2.0, window=64), 64, size),
+                (CoefficientSpec(sigma=0.8, center_value=0.5, window=64), 64, size),
+                (spec, 32, size),
+                (spec, 64, _fft_length(400))]:
+            fresh = np.fft.rfft(coefficient_array(changed, half_width), length)
+            assert np.array_equal(_kernel_spectrum(changed, half_width, length), fresh)
+
+
+def _convolve(xi, kern):
+    spectrum = np.fft.rfft(kern, _fft_length(xi.shape[-1]))
+    return _fft_convolve_valid(xi, spectrum, kern.size)
 
 
 def _is_5_smooth(v):

@@ -225,9 +225,12 @@ class TestVerdictTable:
     def test_cells_match_trace(self):
         x = sample(InnovationSpec("student_t", 3.0), 2601, 9)
         table, traces = verdict_table(x, collect_traces=True)
+        grid = [(s, e) for s in table.s_list for e in table.exponent_list]
+        assert list(table.cells) == list(traces) == grid
         for (s, e), tr in traces.items():
             alone = marcinkiewicz_trace(x, s, e)
             assert np.array_equal(tr.f, alone.f)
+            assert np.array_equal(tr.m_trace, alone.m_trace)
             assert table.cells[(s, e)].outcome == convergence_verdict(alone).outcome
 
     @given(st.text(string.ascii_letters + string.digits, min_size=1),

@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
+                   marcinkiewicz_trace, sample, simulate_paths)
+from marcz.errors import ConfigurationError
+from marcz.verify import _ratio_medians
+
+
+def _full_trace_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
+    """The known-mean ratio read off whole traces, one per rep and p."""
+    ratios = {p: [] for p in p_values}
+    for r in range(reps):
+        x = draw(seed * 100003 + r)
+        for p in p_values:
+            f = marcinkiewicz_trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs).f
+            ratios[p].append(f[n - 1] / f[compare_at - 1])
+    return {p: float(np.median(v)) for p, v in ratios.items()}
+
+
+def _pareto_draw(n):
+    innov = InnovationSpec("symmetric_pareto", 1.5)
+    return lambda sd: sample(innov, n, sd)
+
+
+def _lrd_draw(n):
+    spec = CoefficientSpec(sigma=0.8, window=2 ** 9)
+    cfg = ProcessConfig(s=1, coeffs=(spec,), innov=InnovationSpec("gaussian"),
+                        length=n, window=2 ** 9)
+    return lambda sd: simulate_paths(cfg, sd).x[0]
+
+
+@pytest.mark.parametrize("draw,mean_abs", [(_pareto_draw, 3.0), (_lrd_draw, 2.5)])
+@pytest.mark.parametrize("n,compare_at", [(2 ** 13, 2 ** 10), (2 ** 10, 2 ** 10)])
+def test_ratio_medians_match_full_traces(draw, mean_abs, n, compare_at):
+    args = (draw(n), mean_abs, n, 5, 3, (1.0, 1.2, 1.3, 1.8, 2.0), compare_at)
+    got, want = _ratio_medians(*args), _full_trace_medians(*args)
+    assert list(got) == list(want)
+    assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+
+
+@pytest.mark.parametrize("p", [0.9, -1.5, float("inf"), float("nan")])
+def test_ratio_medians_reject_bad_p(p):
+    with pytest.raises(ConfigurationError):
+        _ratio_medians(_pareto_draw(64), 3.0, 64, 1, 0, (1.2, p), 32)
