@@ -7,20 +7,14 @@ import sys
 import warnings
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__
+# ingest, innovations, kernel, linproc, statistic and verify load numpy on
+# first attribute access (see marcz/__init__.py): reach them as module
+# attributes at run time, so estimate and table-predict never load it
+from . import __version__, ingest, innovations, kernel, linproc, statistic, verify
 from .errors import (ConfigurationError, DomainError, EmptyDataError, MarczError,
                      SchemaError)
-from .ingest import load_prices, log_returns, select_window
-from .innovations import spec_from_config
-from .kernel import CoefficientSpec
-from .linproc import (ProcessConfig, ensemble_to_binary, ensemble_to_tsv,
-                      simulate_paths)
 from .rates import estimate_parameters, predict_table
-from .statistic import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, RunningMeanConfig,
-                        tables_from_tsv, verdict_table)
-from .verify import kernel_suite, mslln_suite, tensor_suite
+from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, tables_from_tsv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,12 +53,12 @@ def _load_process_config(path):
         sigmas = raw.get("sigmas") or [raw["sigma"]] * s
         window = int(raw.get("window", 2 ** 14))
         coeffs = tuple(
-            CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
-                            center_value=float(raw.get("center_value", 1.0)),
-                            window=window)
+            kernel.CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
+                                   center_value=float(raw.get("center_value", 1.0)),
+                                   window=window)
             for sg in sigmas)
-        return ProcessConfig(
-            s=s, coeffs=coeffs, innov=spec_from_config(raw["innovation"]),
+        return linproc.ProcessConfig(
+            s=s, coeffs=coeffs, innov=innovations.spec_from_config(raw["innovation"]),
             sharing=raw.get("sharing", "shared"), length=int(raw["n"]),
             window=window)
     except (TypeError, ValueError) as exc:
@@ -74,16 +68,18 @@ def _load_process_config(path):
 def cmd_simulate(args):
     config = _load_process_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    ens = simulate_paths(config, args.seed)
-    ensemble_to_tsv(ens, os.path.join(args.out, "ensemble.tsv"))
-    ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
-                       os.path.join(args.out, "ensemble.json"))
+    ens = linproc.simulate_paths(config, args.seed)
+    linproc.ensemble_to_tsv(ens, os.path.join(args.out, "ensemble.tsv"))
+    linproc.ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
+                               os.path.join(args.out, "ensemble.json"))
     _write_manifest(args.out, "simulate", args, [args.seed])
     return EXIT_OK
 
 
 def _analysis_input(args):
     if args.returns_csv:
+        import numpy as np
+
         with warnings.catch_warnings():
             # numpy warns, rather than fails, on a file without data rows
             warnings.simplefilter("error", UserWarning)
@@ -95,10 +91,10 @@ def _analysis_input(args):
                 raise SchemaError(f"{args.returns_csv}: {exc}") from None
         label = args.label or os.path.basename(args.returns_csv)
         return values, label
-    series = load_prices(args.input, column_name=args.column, label=args.label)
-    returns = log_returns(series)
+    series = ingest.load_prices(args.input, column_name=args.column, label=args.label)
+    returns = ingest.log_returns(series)
     if not args.full_series:
-        returns = select_window(returns)
+        returns = ingest.select_window(returns)
     return returns, series.label
 
 
@@ -155,10 +151,10 @@ def _write_traces(jobs):
 def cmd_analyze(args):
     values, label = _analysis_input(args)
     os.makedirs(args.out, exist_ok=True)
-    cfg = RunningMeanConfig(epsilon=args.epsilon, rho=args.rho, start=args.start)
-    table, traces = verdict_table(values, args.s_list, args.exponents, cfg,
-                                  label=label, proportional=args.proportional,
-                                  collect_traces=True)
+    cfg = statistic.RunningMeanConfig(epsilon=args.epsilon, rho=args.rho, start=args.start)
+    table, traces = statistic.verdict_table(values, args.s_list, args.exponents, cfg,
+                                            label=label, proportional=args.proportional,
+                                            collect_traces=True)
     _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
                    for (s, e), tr in traces.items()])
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
@@ -193,11 +189,11 @@ def cmd_table_predict(args):
 
 def cmd_verify(args):
     if args.suite == "kernel":
-        result = kernel_suite(radius=args.radius)
+        result = verify.kernel_suite(radius=args.radius)
     elif args.suite == "mslln":
-        result = mslln_suite(seed=args.seed, reps=args.reps, n=args.length)
+        result = verify.mslln_suite(seed=args.seed, reps=args.reps, n=args.length)
     else:
-        result = tensor_suite(seed=args.seed)
+        result = verify.tensor_suite(seed=args.seed)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         result.to_tsv(os.path.join(args.out, f"{args.suite}_checks.tsv"))

@@ -153,7 +153,7 @@ def ensemble_to_tsv(ensemble, path):
 
 def ensemble_to_binary(ensemble, bin_path, sidecar_path):
     """Little-endian float64 block (x rows then d) with a JSON sidecar."""
-    block = np.vstack([ensemble.x, ensemble.d[None, :]]).astype("<f8")
+    block = np.vstack([ensemble.x, ensemble.d[None, :]]).astype("<f8", copy=False)
     block.tofile(bin_path)
     cfg = ensemble.config
     sidecar = {

@@ -5,10 +5,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import ConfigurationError, DomainError
-from .statistic import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
+from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
 
 _EQ_TOL = 1e-12
 
@@ -38,7 +36,10 @@ def rate_bound(s, sigma, alpha0, relaxed=False):
     the light-tailed case."""
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
-    sigmas = (sigma,) * s if np.ndim(sigma) == 0 else tuple(sigma)
+    try:
+        sigmas = tuple(sigma)
+    except TypeError:  # a scalar, a 0-d array included
+        sigmas = (sigma,) * s
     if len(sigmas) != s:
         raise ConfigurationError(f"need one sigma or {s} sigma values, got {len(sigmas)}")
     if not all(0.5 < sg <= 1.0 for sg in sigmas):
@@ -136,7 +137,8 @@ def estimate_parameters(table):
         raise ConfigurationError("need at least one s >= 2 row for the tail step")
     notes = []
     evidence = []
-    grid_step = min(np.diff(sorted(table.exponent_list))) if len(table.exponent_list) > 1 else 0.1
+    exps = sorted(table.exponent_list)
+    grid_step = min(b - a for a, b in zip(exps, exps[1:])) if len(exps) > 1 else 0.1
 
     usable = {}
     for s in s_values:
@@ -216,7 +218,7 @@ def estimate_parameters(table):
             lo = min(iv[0] for iv in point_intervals)
             hi = max(iv[1] for iv in point_intervals)
     if points:
-        alpha_est = EstimateValue("point", float(np.mean(points)))
+        alpha_est = EstimateValue("point", sum(points) / len(points))
     elif uppers:
         alpha_est = EstimateValue("upper_bound", min(uppers))
     elif lowers:

@@ -1,17 +1,15 @@
 """Running means, the normalized partial-sum trace f(n), and the
 convergence/divergence verdict rule."""
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, LengthError
 from .ingest import write_rows
+from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
 
-DEFAULT_S_LIST = (1, 2, 3)
-DEFAULT_EXPONENTS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 PAPER_LENGTH = 2601
 # verdict rule: half/quarter window offsets past cfg.start, and the mean ratios
 TRAILING_OFFSETS = (1000, 1500)
@@ -136,19 +134,6 @@ def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None
     return MarcTrace(s=s, exponent=exponent, f=f, mu_trace=mu_trace, m_trace=m_trace)
 
 
-@dataclass
-class Verdict:
-    outcome: str
-    mean_whole: float = float("nan")
-    mean_half: float = float("nan")
-    mean_quarter: float = float("nan")
-    ratios: tuple = (float("nan"), float("nan"))
-
-    @property
-    def letter(self):
-        return "C" if self.outcome == "Converges" else "D"
-
-
 def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS):
     """Two-stage trailing-average rule: diverges unless the whole-window
     average exceeds 1.2x the last-half average and that exceeds 1.05x the
@@ -171,94 +156,6 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
     )
     return Verdict(outcome=outcome, mean_whole=mean_whole, mean_half=mean_half,
                    mean_quarter=mean_quarter, ratios=ratios)
-
-
-@dataclass
-class VerdictTable:
-    label: str
-    s_list: tuple
-    exponent_list: tuple
-    cells: dict = field(default_factory=dict)  # (s, exponent) -> Verdict
-
-    def __post_init__(self):
-        # exponents must differ as written (%g): TSV header, trace file names
-        s_list, exps = self.s_list, self.exponent_list
-        if not (s_list and exps and len(set(s_list)) == len(s_list)
-                and len({f"{e:g}" for e in exps}) == len(exps)
-                and all(isinstance(s, (int, np.integer)) and s >= 1 for s in s_list)
-                and all(0.0 < e <= 1.0 for e in exps)):
-            raise ConfigurationError(
-                "grid needs distinct integer s >= 1 and distinct exponents in (0,1], "
-                f"got s {s_list} and exponents {exps}")
-
-    def outcome(self, s, e):
-        return self.cells[(s, e)].letter
-
-    def row(self, s):
-        return [self.outcome(s, e) for e in self.exponent_list]
-
-    def to_tsv(self, path=None):
-        lines = ["label\ts\t" + "\t".join(f"{e:g}" for e in self.exponent_list)]
-        for s in self.s_list:
-            lines.append(f"{self.label}\t{s}\t" + "\t".join(self.row(s)))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    def to_json(self):
-        return json.dumps({
-            "label": self.label,
-            "s_list": list(self.s_list),
-            "exponents": list(self.exponent_list),
-            "cells": [
-                {"s": s, "exponent": e, "outcome": v.outcome,
-                 "mean_whole": v.mean_whole, "mean_half": v.mean_half,
-                 "mean_quarter": v.mean_quarter, "ratios": list(v.ratios)}
-                for (s, e), v in sorted(self.cells.items())
-            ],
-        }, indent=2)
-
-
-def tables_from_tsv(path):
-    """Parse one or more verdict tables from the TSV layout written above."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2:
-        raise ConfigurationError(f"{path}: no verdict rows")
-    header = lines[0].split("\t")
-    if header[:2] != ["label", "s"]:
-        raise ConfigurationError("verdict table must start with 'label\\ts' columns")
-    try:
-        exponents = tuple(float(v) for v in header[2:])
-    except ValueError:
-        raise ConfigurationError(f"non-numeric exponent in header {header[2:]}") from None
-    grouped = {}
-    for ln in lines[1:]:
-        parts = ln.split("\t")
-        label, s = parts[0], parts[1] if len(parts) > 1 else ""
-        letters = [v.upper() for v in parts[2:]]
-        if not s.isdigit():
-            raise ConfigurationError(f"row for {label}: s must be an integer, got {s!r}")
-        s = int(s)
-        if len(letters) != len(exponents) or not set(letters) <= {"C", "D"}:
-            raise ConfigurationError(
-                f"row for {label} s={s} needs {len(exponents)} C/D cells")
-        rows = grouped.setdefault(label, {})
-        if s in rows:
-            raise ConfigurationError(f"duplicate row for {label} s={s}")
-        rows[s] = letters
-    out = []
-    for label, rows in grouped.items():
-        table = VerdictTable(label=label, s_list=tuple(sorted(rows)),
-                             exponent_list=exponents)
-        for s, letters in rows.items():
-            for e, letter in zip(exponents, letters):
-                outcome = "Converges" if letter == "C" else "Diverges"
-                table.cells[(s, e)] = Verdict(outcome=outcome)
-        out.append(table)
-    return out
 
 
 def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,

@@ -319,6 +319,39 @@ def test_cli_import_loads_numpy_only():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    [],
+    ["estimate", "--table", "{fixtures}/table1.tsv"],
+    ["table-predict", "--sigma", "0.65", "--alpha1", "2"],
+], ids=["import", "estimate", "table_predict"])
+def test_table_commands_skip_numpy(fixtures_dir, argv):
+    # the numeric modules are in sys.modules (perfbench looks them up there)
+    # but have not run, so nothing has imported numpy
+    code = ("import sys, marcz.cli; "
+            "rc = marcz.cli.main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "lazy = [m for m in ('ingest', 'innovations', 'kernel', 'linproc', "
+            "'statistic', 'verify') if 'marcz.' + m not in sys.modules]; "
+            "sys.stderr.write(repr((lazy, sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy')))); sys.exit(rc)")
+    proc = _run_python("-c", code, *(a.format(fixtures=fixtures_dir) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "([], [])"
+    assert bool(proc.stdout) == bool(argv)
+
+
+@pytest.mark.parametrize("code", [
+    "import marcz; from marcz.statistic import verdict_table; "
+    "assert marcz.verdict_table is verdict_table",
+    "from marcz.kernel import _FFT_BLOCK; assert _FFT_BLOCK > 0",
+    "import marcz; from marcz import *; "
+    "assert all(globals()[n] is getattr(marcz, n) for n in marcz.__all__); "
+    "assert simulate_paths.__module__ == 'marcz.linproc'",
+], ids=["package_attribute", "submodule_import", "star_import"])
+def test_lazy_names_resolve(code):
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.xfail(strict=True,
                    reason="the trailing-average verdict rule at n=2601 agrees "
                           "with the rate-bound prediction in only ~65% of "

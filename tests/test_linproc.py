@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,6 +233,21 @@ class TestExport:
         assert np.array_equal(block[0], ens.x[0])
         assert np.array_equal(block[-1], ens.d)
         assert meta["seed"] == 0
+
+
+    def test_binary_holds_one_block(self, tmp_path):
+        # the stacked block is already <f8: the write copies it no second time
+        ens = simulate_paths(_config(s=2, n=2 ** 15, window=2 ** 10), 0)
+        bin_path, side_path = tmp_path / "e.bin", tmp_path / "e.json"
+        tracemalloc.start()
+        try:
+            ensemble_to_binary(ens, bin_path, side_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = np.vstack([ens.x, ens.d[None, :]]).astype("<f8")
+        assert bin_path.read_bytes() == block.tobytes()
+        assert block.nbytes <= peak < 1.5 * block.nbytes
 
 
 class TestTensor:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,31 @@ class TestRateBound:
     def test_cap_at_two(self):
         assert rate_bound(2, 1.0, math.inf) == 2.0
         assert rate_bound(4, 1.0, math.inf, relaxed=True) == 2.0
+
+
+class TestNumpyFree:
+    """rates.py uses no numpy; its plain-Python forms give the numpy results."""
+
+    @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=7))
+    def test_point_mean_matches_numpy(self, points):
+        # numpy's add-reduce is sequential below 8 elements (pairwise from 8
+        # on); the default grid gives at most 2 alpha_1 points
+        assert sum(points) / len(points) == float(np.mean(points))
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("sigma", [0.55, 0.7, 1.0])
+    def test_sigma_forms(self, s, sigma):
+        expected = rate_bound(s, sigma, 2.5)
+        # a 0-d array is not iterable, so it must take the scalar path
+        with pytest.raises(TypeError):
+            tuple(np.array(sigma))
+        for form in (np.float64(sigma), np.array(sigma), [sigma] * s, (sigma,) * s,
+                     np.full(s, sigma)):
+            assert rate_bound(s, form, 2.5) == expected, form
+
+    def test_sigma_array_length_checked(self):
+        with pytest.raises(ConfigurationError):
+            rate_bound(2, np.full(3, 0.7), 2.5)
 
 
 class TestGeneralRateBound:

@@ -1,4 +1,5 @@
 import string
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,20 @@ class TestVerdictTable:
             VerdictTable(label="x", s_list=s_list, exponent_list=exponents)
         with pytest.raises(ConfigurationError):
             verdict_table(sample(InnovationSpec("gaussian"), 2601, 0), s_list, exponents)
+
+    @pytest.mark.parametrize("s", [1, 2, True, np.int64(2), np.int32(1), np.uint8(3),
+                                   np.int64(0), np.bool_(True), 1.0, np.float64(2.0),
+                                   Fraction(1), "1"])
+    def test_s_types_as_before(self, s):
+        # numbers.Integral accepts exactly what isinstance(s, (int, np.integer)) did
+        accepted_before = isinstance(s, (int, np.integer)) and s >= 1
+        try:
+            VerdictTable(label="x", s_list=(s,), exponent_list=(0.5,))
+        except ConfigurationError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == accepted_before
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
            st.integers(min_value=-20, max_value=20))
