@@ -1,6 +1,7 @@
 """Price CSV ingestion, log returns, and the writer of every tabular artifact."""
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyDataError, LengthError, SchemaError
 
-_BLOCK_ROWS = 256
+_BLOCK_ROWS = 4096  # the fastest of 256..65536 for 18 traces of 2^16 rows
 
 
 @dataclass
@@ -67,13 +68,43 @@ def select_window(values, end_offset=100, length=2601):
     return values[n - length - end_offset:n - end_offset]
 
 
+@functools.lru_cache(maxsize=1)
+def _numbered_blocks(first, rows, tail):
+    """One format string per block of _BLOCK_ROWS rows for the row numbers
+    first .. first + rows - 1, each number followed by `tail`: ("1,%.17g\\n"
+    "2,%.17g\\n" ...) for tail ",%.17g\\n". One entry, so the traces of one
+    run share it and a new length or tail replaces it."""
+    row = "%d" + tail.replace("%", "%%")
+    stop = first + rows
+    return tuple(row * (min(start + _BLOCK_ROWS, stop) - start)
+                 % tuple(range(start, min(start + _BLOCK_ROWS, stop)))
+                 for start in range(first, stop, _BLOCK_ROWS))
+
+
 def write_rows(path, header, row_format, *columns):
     """Write `header`, then `row_format` once per row of the equal-length
     `columns`. Each block of _BLOCK_ROWS rows is formatted with a single `%`
-    and written in one call, so memory stays bounded by the block."""
+    and written in one call, so memory stays bounded by the block.
+
+    A leading `range` column of step 1 under a leading "%d" is taken as row
+    numbers: they are baked into cached per-block format strings, so only
+    the other columns are formatted per row."""
+    lengths = {len(c) for c in columns}
+    if len(lengths) > 1:
+        raise LengthError(f"columns have unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    row_numbers = columns[0] if columns else None
+    templates = None
+    if (isinstance(row_numbers, range) and row_numbers.step == 1
+            and row_format.startswith("%d")):
+        templates = _numbered_blocks(row_numbers.start, n, row_format[2:])
+        columns = columns[1:]
     with open(path, "w") as fh:
         fh.write(header)
-        for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        for i, start in enumerate(range(0, n, _BLOCK_ROWS)):
             block = [np.asarray(c[start:start + _BLOCK_ROWS]).tolist() for c in columns]
-            rows = chain.from_iterable(zip(*block))
-            fh.write(row_format * len(block[0]) % tuple(rows))
+            values = block[0] if len(block) == 1 else chain.from_iterable(zip(*block))
+            if templates is None:
+                fh.write(row_format * min(_BLOCK_ROWS, n - start) % tuple(values))
+            else:
+                fh.write(templates[i] % tuple(values))

@@ -1,11 +1,13 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from marcz import load_prices, log_returns, select_window
 from marcz.errors import DomainError, EmptyDataError, LengthError, SchemaError
-from marcz.ingest import _BLOCK_ROWS, PriceSeries
+from marcz.ingest import _BLOCK_ROWS, PriceSeries, _numbered_blocks, write_rows
 from marcz.kernel import BoundReport
 from marcz.linproc import PathEnsemble, ensemble_to_tsv
 from marcz.statistic import MarcTrace
@@ -82,7 +84,7 @@ _SPECIAL = [0.0, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308, math.nan,
             math.inf, -math.inf]
 
 
-def _trace_bytes(path, a, b):
+def _trace_bytes(path, a, b=None):
     MarcTrace(s=1, exponent=0.5, f=a, mu_trace=a, m_trace=a).to_csv(path)
     return "k,f\n" + "".join(f"{k},{v:.17g}\n" for k, v in enumerate(a, start=1))
 
@@ -96,7 +98,7 @@ def _ensemble_bytes(path, a, b):
 
 
 def _bound_report_bytes(path, a, b):
-    lags = np.arange(2, a.size + 2)
+    lags = range(2, a.size + 2)  # row numbers that start at 2
     report = BoundReport(gamma=0.75, mixed=False, lags=lags, sums=a, bounds=b)
     report.to_tsv(path)
     return "lag\tsum\tbound\tratio\n" + "".join(
@@ -115,13 +117,51 @@ def _suite_bytes(path, a, b):
 
 @pytest.mark.parametrize("writer", [_trace_bytes, _ensemble_bytes,
                                     _bound_report_bytes, _suite_bytes])
-@pytest.mark.parametrize("rows", [len(_SPECIAL), 2 * _BLOCK_ROWS + 3])
+@pytest.mark.parametrize("rows", [0, 1, len(_SPECIAL), 515, _BLOCK_ROWS, 2 * _BLOCK_ROWS + 3])
 def test_writer_bytes(tmp_path, writer, rows):
     # every artifact writer against a per-row f-string reference, across
-    # special values and (for the long case) block boundaries
+    # special values and block boundaries
     a = np.resize(np.array(_SPECIAL), rows)
     b = np.resize(np.array(_SPECIAL[::-1] + [-1 / 3]), rows)
     path = tmp_path / "out.txt"
     with np.errstate(all="ignore"):
         expected = writer(path, a, b)
     assert path.read_text() == expected
+
+
+def test_row_templates_follow_length(tmp_path):
+    # the cached row-number templates must be rebuilt, not reused, when the
+    # length changes across a block boundary, and hold one entry after
+    path = tmp_path / "trace.csv"
+    f = np.resize(np.array(_SPECIAL), _BLOCK_ROWS + 1)
+    for rows in (_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS):
+        expected = _trace_bytes(path, f[:rows])
+        assert path.read_text() == expected
+    assert _numbered_blocks.cache_info().currsize == 1
+
+
+def test_unequal_columns_raise(tmp_path):
+    path = tmp_path / "out.txt"
+    with pytest.raises(LengthError):
+        write_rows(path, "k,f\n", "%d,%.17g\n", range(1, 4), np.zeros(2))
+    with pytest.raises(LengthError):
+        write_rows(path, "a\tb\n", "%.17g\t%.17g\n", np.zeros(3), np.zeros(4))
+    assert not path.exists()
+
+
+def test_trace_write_memory(tmp_path):
+    # a 2^18 trace is written holding the row-number templates and one
+    # block of rows (measured ~89 bytes a row), never the column's text
+    n = 2 ** 18
+    f = np.random.default_rng(0).standard_normal(n)
+    trace = MarcTrace(s=1, exponent=0.5, f=f, mu_trace=f, m_trace=f)
+    path = tmp_path / "trace.csv"
+    _numbered_blocks.cache_clear()
+    tracemalloc.start()
+    try:
+        trace.to_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    templates = sum(map(sys.getsizeof, _numbered_blocks(1, n, ",%.17g\n")))
+    assert peak - templates < 128 * _BLOCK_ROWS < path.stat().st_size / 8
