@@ -152,11 +152,11 @@ def cmd_analyze(args):
     values, label = _analysis_input(args)
     os.makedirs(args.out, exist_ok=True)
     cfg = statistic.RunningMeanConfig(epsilon=args.epsilon, rho=args.rho, start=args.start)
-    table, traces = statistic.verdict_table(values, args.s_list, args.exponents, cfg,
-                                            label=label, proportional=args.proportional,
-                                            collect_traces=True)
+    table = statistic.verdict_table(values, args.s_list, args.exponents, cfg,
+                                    label=label, proportional=args.proportional,
+                                    collect_traces=True)
     _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
-                   for (s, e), tr in traces.items()])
+                   for (s, e), tr in table.traces.items()])
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
         fh.write(table.to_json())
     _write_manifest(args.out, "analyze", args, [])

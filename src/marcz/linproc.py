@@ -178,7 +178,6 @@ def ensemble_to_binary(ensemble, bin_path, sidecar_path):
 @dataclass
 class TensorEnsemble:
     tensors: np.ndarray          # n x d_out**s flattened tensor products
-    norm_traces: dict            # p -> length-n normalized partial-sum norms
     seed: int
 
 
@@ -187,14 +186,13 @@ def _pattern_matrix(d_out, m):
     return np.ones((d_out, m)) / np.sqrt(d_out * m)
 
 
-def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, p_grid=(1.2,),
+def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed,
                           window=DEFAULT_WINDOW, scale=1.0,
                           memory_cap=TENSOR_ENTRY_CAP):
     """Tensor products of vector linear processes with matrix coefficients
     C_l = scale * |l|^(-sigma) * P, P a fixed unit-Frobenius pattern.
 
-    Returns the flattened tensor sequence and, per requested p, the trace
-    k^(-1/p) * ||sum_{j<=k} (T_j - mean(T))||_F. The scalar case
+    Returns the flattened tensor sequence T_1..T_n. The scalar case
     m = d_out = 1 reproduces the scalar pipeline exactly.
     """
     if d_out ** s > memory_cap:
@@ -212,9 +210,4 @@ def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, p_grid=(1.2,),
     tensors = comps[0]
     for r in range(1, s):
         tensors = np.einsum("ki,kj->kij", tensors.reshape(n, -1), comps[r]).reshape(n, -1)
-    centered = tensors - tensors.mean(axis=0, keepdims=True)
-    csum = np.cumsum(centered, axis=0)
-    norms = np.linalg.norm(csum, axis=1)
-    k = np.arange(1, n + 1, dtype=np.float64)
-    traces = {p: norms * k ** (-1.0 / p) for p in p_grid}
-    return TensorEnsemble(tensors=tensors, norm_traces=traces, seed=seed)
+    return TensorEnsemble(tensors=tensors, seed=seed)

@@ -72,8 +72,6 @@ class MarcTrace:
     s: int
     exponent: float
     f: np.ndarray
-    mu_trace: np.ndarray
-    m_trace: np.ndarray
 
     def to_csv(self, path):
         write_rows(path, "k,f\n", "%d,%.17g\n", range(1, self.f.size + 1), self.f)
@@ -89,16 +87,6 @@ def _finite_series(x):
     return x
 
 
-def _centering(value, n):
-    """A scalar (constant centering) or a precomputed length-n trace."""
-    arr = np.asarray(value, dtype=np.float64)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    if arr.shape != (n,):
-        raise LengthError(f"centering trace has shape {arr.shape}, need ({n},)")
-    return arr
-
-
 def _partial_sums(residual, m):
     """|sum_{j<=k} (residual_j - m_j)| for k = 1..n; m is a scalar or a
     length-n trace."""
@@ -107,31 +95,38 @@ def _partial_sums(residual, m):
     return np.abs(out, out=out)
 
 
-def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
-    """f(k) = k^(-exponent) * |sum_{j<=k} (|x_j - mu_j|^s - m_j)|.
+def _traces(x, grid, cfg):
+    """Yield the MarcTrace of every cell of `grid`, exponent by exponent,
+    with f(k) = k^(-e) * |sum_{j<=k} (|x_j - mu_j|^s - m_j)| and mu, m the
+    running means of x and of the residual.
 
-    By default mu and m are the running exponential means of the published
-    procedure. Passing scalar mu/m switches to constant (known-mean)
-    centering, which is what the rate theory is stated for; passing length-n
-    arrays reuses running means computed once for several cells.
+    mu is computed once, and the residual, its m and its partial sums once
+    per s; mu and each m are dropped once the sums exist. Each k^e is
+    computed once, and the last exponent's f is written into its row's
+    partial-sum buffer: a grid whose traces are dropped as they come then
+    peaks no higher in memory than with one trace per cell.
     """
-    x = _finite_series(x)
-    if not 0.0 < exponent <= 1.0:
-        raise ConfigurationError(f"exponent must be in (0,1], got {exponent}")
-    if s < 1:
-        raise ConfigurationError(f"s must be >= 1, got {s}")
-    if mu is None:
-        mu_trace = ewma(x, cfg.epsilon)
-    else:
-        mu_trace = _centering(mu, x.size)
-    residual = np.abs(x - mu_trace) ** s
-    if m is None:
-        m_trace = ewma(residual, cfg.rho)
-    else:
-        m_trace = _centering(m, x.size)
+    mu = ewma(x, cfg.epsilon)
+    rows = []
+    for s in grid.s_list:
+        residual = np.abs(x - mu) ** s
+        rows.append(_partial_sums(residual, ewma(residual, cfg.rho)))
+    del mu, residual
     k = np.arange(1, x.size + 1, dtype=np.float64)
-    f = _partial_sums(residual, m_trace) / k ** exponent
-    return MarcTrace(s=s, exponent=exponent, f=f, mu_trace=mu_trace, m_trace=m_trace)
+    for i, e in enumerate(grid.exponent_list, 1):
+        norm = k ** e
+        for s, sums in zip(grid.s_list, rows):
+            f = np.divide(sums, norm, out=sums if i == len(grid.exponent_list) else None)
+            yield MarcTrace(s=s, exponent=e, f=f)
+
+
+def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig()):
+    """f(k) = k^(-exponent) * |sum_{j<=k} (|x_j - mu_j|^s - m_j)| with mu
+    and m the running exponential means of the published procedure: the
+    one-cell grid of verdict_table, checked as a grid is."""
+    x = _finite_series(x)
+    grid = VerdictTable(label="", s_list=(s,), exponent_list=(exponent,))
+    return next(_traces(x, grid, cfg))
 
 
 def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS):
@@ -163,9 +158,9 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   collect_traces=False):
     """Grid of verdicts over powers s and exponents 1/p.
 
-    The running mean mu and each k^e are computed once per grid, the
-    residual, its mean m and its partial sums once per s; every cell then
-    matches marcinkiewicz_trace(x, s, e, cfg) bit for bit.
+    The traces come from _traces, of which marcinkiewicz_trace is the
+    one-cell case. With collect_traces the table keeps every cell's
+    MarcTrace in `traces`, keyed and ordered as `cells`.
     """
     x = _finite_series(x)
     if x.size > 1 and x.min() == x.max():
@@ -178,27 +173,13 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
         offsets = tuple(int(round(o * factor)) for o in offsets)
     table = VerdictTable(label=label, s_list=tuple(s_list),
                          exponent_list=tuple(exponent_list))
-    mu = ewma(x, cfg.epsilon)
-    rows = []  # (s, m, partial sums) per row
-    for s in s_list:
-        residual = np.abs(x - mu) ** s
-        m = ewma(residual, cfg.rho)
-        rows.append((s, m, _partial_sums(residual, m)))
-    del residual
-    # Exponent-major with one k^e alive at a time, and the last exponent's f
-    # written into its row's partial-sum buffer: the grid then peaks no higher
-    # in memory than with one trace per cell. The dicts keep row-major order.
-    keys = [(s, e) for s in s_list for e in exponent_list]
-    table.cells, traces = dict.fromkeys(keys), dict.fromkeys(keys)
-    k = np.arange(1, x.size + 1, dtype=np.float64)
-    for i, e in enumerate(exponent_list, 1):
-        norm = k ** e
-        for s, m, sums in rows:
-            f = np.divide(sums, norm, out=sums if i == len(exponent_list) else None)
-            tr = MarcTrace(s=s, exponent=e, f=f, mu_trace=mu, m_trace=m)
-            table.cells[(s, e)] = convergence_verdict(tr, cfg, offsets)
-            if collect_traces:
-                traces[(s, e)] = tr
+    # the cells are computed exponent-major; the dicts keep row-major order
+    keys = [(s, e) for s in table.s_list for e in table.exponent_list]
+    table.cells = dict.fromkeys(keys)
     if collect_traces:
-        return table, traces
+        table.traces = dict.fromkeys(keys)
+    for tr in _traces(x, table, cfg):
+        table.cells[(tr.s, tr.exponent)] = convergence_verdict(tr, cfg, offsets)
+        if collect_traces:
+            table.traces[(tr.s, tr.exponent)] = tr
     return table

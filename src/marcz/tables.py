@@ -31,6 +31,8 @@ class VerdictTable:
     s_list: tuple
     exponent_list: tuple
     cells: dict = field(default_factory=dict)  # (s, exponent) -> Verdict
+    # (s, exponent) -> MarcTrace, filled by verdict_table(collect_traces=True)
+    traces: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         # exponents must differ as written (%g): TSV header, trace file names

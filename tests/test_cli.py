@@ -180,10 +180,10 @@ class TestTraceWriters:
         assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
         assert len(forks) == 2
         values = np.loadtxt(rets, skiprows=1, delimiter=",", ndmin=1)
-        table, traces = verdict_table(values, label="returns.csv", collect_traces=True)
-        assert len(list(out.glob("trace_*.csv"))) == len(traces)
+        table = verdict_table(values, label="returns.csv", collect_traces=True)
+        assert len(list(out.glob("trace_*.csv"))) == len(table.traces)
         serial = tmp_path / "serial.csv"
-        for (s, e), tr in traces.items():
+        for (s, e), tr in table.traces.items():
             tr.to_csv(serial)
             assert (out / f"trace_s{s}_e{e:g}.csv").read_bytes() == serial.read_bytes()
         assert (out / "verdicts.tsv").read_text() == table.to_tsv()

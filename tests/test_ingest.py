@@ -85,7 +85,7 @@ _SPECIAL = [0.0, -0.0, 5e-324, 1 / 3, 1.7976931348623157e308, math.nan,
 
 
 def _trace_bytes(path, a, b=None):
-    MarcTrace(s=1, exponent=0.5, f=a, mu_trace=a, m_trace=a).to_csv(path)
+    MarcTrace(s=1, exponent=0.5, f=a).to_csv(path)
     return "k,f\n" + "".join(f"{k},{v:.17g}\n" for k, v in enumerate(a, start=1))
 
 
@@ -154,7 +154,7 @@ def test_trace_write_memory(tmp_path):
     # block of rows (measured ~89 bytes a row), never the column's text
     n = 2 ** 18
     f = np.random.default_rng(0).standard_normal(n)
-    trace = MarcTrace(s=1, exponent=0.5, f=f, mu_trace=f, m_trace=f)
+    trace = MarcTrace(s=1, exponent=0.5, f=f)
     path = tmp_path / "trace.csv"
     _numbered_blocks.cache_clear()
     tracemalloc.start()

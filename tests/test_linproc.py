@@ -269,9 +269,11 @@ class TestTensor:
         for r in range(16):
             tens = simulate_tensor_paths(m=2, d_out=2, s=2, sigma=0.8,
                                          innov=InnovationSpec("gaussian"),
-                                         n=n, seed=100 + r, p_grid=(1.2,),
-                                         window=2 ** 12)
-            trace = tens.norm_traces[1.2]
+                                         n=n, seed=100 + r, window=2 ** 12)
+            # k^(-1/p) * ||sum_{j<=k} (T_j - mean T)||_F at p = 1.2
+            centred = tens.tensors - tens.tensors.mean(axis=0)
+            k = np.arange(1, n + 1, dtype=np.float64)
+            trace = np.linalg.norm(np.cumsum(centred, axis=0), axis=1) * k ** (-1.0 / 1.2)
             mids.append(trace[n // 8 - 1])
             finals.append(trace[-1])
         assert np.median(np.array(finals) / np.array(mids)) < 1.0

@@ -1,4 +1,5 @@
 import string
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +7,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from marcz import (DEFAULT_EXPONENTS, InnovationSpec, RunningMeanConfig,
+from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec, RunningMeanConfig,
                    Verdict, VerdictTable, convergence_verdict, ewma,
                    marcinkiewicz_trace, sample, tables_from_tsv, verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
+from marcz.statistic import PAPER_LENGTH, TRAILING_OFFSETS, MarcTrace
+
+import oracles
 
 
 def _ewma_loop(x, eps):
@@ -68,13 +72,17 @@ class TestTrace:
         assert np.all(tr.f == 0)
 
     def test_reconstruction(self):
+        # running means from the plain recurrence, not the blocked ewma
         rng = np.random.default_rng(1)
         x = rng.standard_normal(500)
-        tr = marcinkiewicz_trace(x, 2, 0.7)
-        residual = np.abs(x - tr.mu_trace) ** 2
-        k = np.arange(1, 501, dtype=float)
-        rebuilt = np.abs(np.cumsum(residual - tr.m_trace)) / k ** 0.7
+        cfg = RunningMeanConfig()
+        tr = marcinkiewicz_trace(x, 2, 0.7, cfg)
+        mu = _ewma_loop(x, cfg.epsilon)
+        m = _ewma_loop(np.abs(x - mu) ** 2, cfg.rho)
+        rebuilt = oracles.trace(x, 2, 0.7, mu=mu, m=m)
+        assert (tr.s, tr.exponent) == (2, 0.7)
         assert np.max(np.abs(rebuilt - tr.f)) < 1e-9
+        assert tr.f.tobytes() == oracles.trace(x, 2, 0.7, cfg).tobytes()
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(2)
@@ -89,10 +97,15 @@ class TestTrace:
         assert va.outcome == vb.outcome
 
     def test_known_mean_mode(self):
-        x = np.ones(100)
-        tr = marcinkiewicz_trace(x, 1, 1.0, mu=0.0, m=1.0)
-        assert np.all(tr.f == 0)
-        assert np.all(tr.mu_trace == 0.0)
+        # the constant-centring oracle that the verify medians are checked with
+        assert np.all(oracles.trace(np.ones(100), 1, 1.0, mu=0.0, m=1.0) == 0)
+        x = [0.5, -2.0, 1.25, -0.75, 3.0]
+        f = oracles.trace(x, 2, 0.5, mu=0.25, m=1.5)
+        total, want = 0.0, []
+        for k, v in enumerate(x, 1):
+            total += abs(v - 0.25) ** 2 - 1.5
+            want.append(abs(total) / k ** 0.5)
+        assert np.allclose(f, want, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):
@@ -113,6 +126,14 @@ class TestTrace:
     def test_invalid_exponent(self):
         with pytest.raises(ConfigurationError):
             marcinkiewicz_trace(np.ones(10), 1, 1.5)
+
+    @pytest.mark.parametrize("s,e", [(1.5, 0.8), (np.float64(2.0), 0.8), (0, 0.8),
+                                     (1, 0.0), (1, 1.5), (1, float("nan"))])
+    def test_cell_checked_as_a_grid(self, s, e):
+        with pytest.raises(ConfigurationError):
+            VerdictTable(label="x", s_list=(s,), exponent_list=(e,))
+        with pytest.raises(ConfigurationError):
+            marcinkiewicz_trace(np.ones(10), s, e)
 
     def test_slln_trace_decays(self):
         # i.i.d. gaussian at p=1: the trace should head to zero for most seeds
@@ -238,15 +259,43 @@ class TestVerdictTable:
             assert np.array(b.cells[key].ratios).tobytes() == np.array(v.ratios).tobytes()
 
     def test_cells_match_trace(self):
-        x = sample(InnovationSpec("student_t", 3.0), 2601, 9)
-        table, traces = verdict_table(x, collect_traces=True)
-        grid = [(s, e) for s in table.s_list for e in table.exponent_list]
-        assert list(table.cells) == list(traces) == grid
-        for (s, e), tr in traces.items():
-            alone = marcinkiewicz_trace(x, s, e)
-            assert np.array_equal(tr.f, alone.f)
-            assert np.array_equal(tr.m_trace, alone.m_trace)
-            assert table.cells[(s, e)].outcome == convergence_verdict(alone).outcome
+        # every cell, and the one-cell trace, against the step-by-step oracle
+        cases = [(2601, DEFAULT_S_LIST, DEFAULT_EXPONENTS, False),
+                 (2601, (3, 1, 2), (0.9, 0.5, 1.0, 0.6), False),
+                 (2 ** 14, (2, 3, 1), (0.7, 0.5, 0.8), True)]
+        for n, s_list, exponents, proportional in cases:
+            x = sample(InnovationSpec("student_t", 3.0), n, 9)
+            table = verdict_table(x, s_list, exponents, proportional=proportional,
+                                  collect_traces=True)
+            grid = [(s, e) for s in s_list for e in exponents]
+            assert list(table.cells) == list(table.traces) == grid
+            cfg, offsets = RunningMeanConfig(), TRAILING_OFFSETS
+            if proportional:
+                factor = n / PAPER_LENGTH
+                cfg = RunningMeanConfig(start=round(cfg.start * factor))
+                offsets = tuple(round(o * factor) for o in offsets)
+            for (s, e), tr in table.traces.items():
+                want = oracles.trace(x, s, e)
+                assert (tr.s, tr.exponent) == (s, e)
+                assert tr.f.tobytes() == want.tobytes()
+                assert marcinkiewicz_trace(x, s, e).f.tobytes() == want.tobytes()
+                assert table.cells[(s, e)] == convergence_verdict(
+                    MarcTrace(s=s, exponent=e, f=want), cfg, offsets)
+
+    @pytest.mark.parametrize("collect,arrays", [(False, 9), (True, 23)])
+    def test_grid_memory(self, collect, arrays):
+        # the default grid peaks at 7 arrays of n float64 without its traces
+        # and 21 with them (15 traces past the 3 row buffers); keeping mu and
+        # each row's m alive would add 4
+        n = 2 ** 16
+        x = sample(InnovationSpec("student_t", 3.0), n, 0)
+        tracemalloc.start()
+        try:
+            verdict_table(x, collect_traces=collect)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrays * 8 * n
 
     @given(st.text(string.ascii_letters + string.digits, min_size=1),
            st.lists(st.integers(min_value=1, max_value=9), min_size=1, unique=True),

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
-                   marcinkiewicz_trace, sample, simulate_paths)
+from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, sample,
+                   simulate_paths)
 from marcz.errors import ConfigurationError
 from marcz.verify import _ratio_medians
+
+import oracles
 
 
 def _full_trace_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
@@ -13,7 +15,7 @@ def _full_trace_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
     for r in range(reps):
         x = draw(seed * 100003 + r)
         for p in p_values:
-            f = marcinkiewicz_trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs).f
+            f = oracles.trace(x, 1, 1.0 / p, mu=0.0, m=mean_abs)
             ratios[p].append(f[n - 1] / f[compare_at - 1])
     return {p: float(np.median(v)) for p, v in ratios.items()}
 
