@@ -13,22 +13,19 @@ import sys
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigurationError, DegeneratePairError, DomainError,
-                     EmptyDataError, LengthError, MarczError, OutOfWindowError,
-                     SchemaError, SizeError)
+from .errors import (ConfigurationError, DomainError, EmptyDataError, LengthError,
+                     MarczError, OutOfWindowError, SchemaError, SizeError)
 from .tables import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable,
                      tables_from_tsv)
 from .rates import (EstimateValue, ParamEstimate, estimate_parameters,
                     predict_table, rate_bound)
 
 _LAZY_EXPORTS = {
-    "kernel": ("BoundReport", "CoefficientSpec", "coefficient", "coefficient_array",
-               "kernel_cross_sum", "verify_kernel_bound"),
-    "innovations": ("InnovationSpec", "empirical_tail_check", "family_variance",
-                    "sample", "spec_from_config", "tail_coefficient"),
-    "linproc": ("PathEnsemble", "ProcessConfig", "TensorEnsemble",
-                "ensemble_to_binary", "ensemble_to_tsv", "simulate_paths",
-                "simulate_tensor_paths", "truncation_error_bound"),
+    "kernel": ("BoundReport", "CoefficientSpec", "coefficient_array",
+               "verify_kernel_bound"),
+    "innovations": ("InnovationSpec", "sample", "spec_from_config", "tail_coefficient"),
+    "linproc": ("PathEnsemble", "ProcessConfig", "ensemble_to_binary", "ensemble_to_tsv",
+                "simulate_paths", "simulate_tensor_paths", "truncation_error_bound"),
     "statistic": ("MarcTrace", "RunningMeanConfig", "convergence_verdict", "ewma",
                   "marcinkiewicz_trace", "verdict_table"),
     "ingest": ("PriceSeries", "load_prices", "log_returns", "select_window"),
@@ -67,8 +64,8 @@ def __dir__():
 
 
 __all__ = [
-    "ConfigurationError", "DegeneratePairError", "DomainError", "EmptyDataError",
-    "LengthError", "MarczError", "OutOfWindowError", "SchemaError", "SizeError",
+    "ConfigurationError", "DomainError", "EmptyDataError", "LengthError",
+    "MarczError", "OutOfWindowError", "SchemaError", "SizeError",
     "DEFAULT_EXPONENTS", "DEFAULT_S_LIST", "Verdict", "VerdictTable", "tables_from_tsv",
     "EstimateValue", "ParamEstimate", "estimate_parameters", "predict_table",
     "rate_bound", *_ORIGIN,

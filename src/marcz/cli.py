@@ -51,7 +51,7 @@ def _load_process_config(path):
     try:
         s = int(raw.get("s", 1))
         sigmas = raw.get("sigmas") or [raw["sigma"]] * s
-        window = int(raw.get("window", 2 ** 14))
+        window = int(raw.get("window", linproc.DEFAULT_WINDOW))
         coeffs = tuple(
             kernel.CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
                                    center_value=float(raw.get("center_value", 1.0)),
@@ -61,6 +61,8 @@ def _load_process_config(path):
             s=s, coeffs=coeffs, innov=innovations.spec_from_config(raw["innovation"]),
             sharing=raw.get("sharing", "shared"), length=int(raw["n"]),
             window=window)
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 
@@ -266,7 +268,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarczError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (MarczError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -17,10 +17,6 @@ class OutOfWindowError(DomainError):
     """Coefficient index beyond the truncation window."""
 
 
-class DegeneratePairError(DomainError):
-    """Kernel cross sum requested for a coincident index pair."""
-
-
 class SchemaError(MarczError, ValueError):
     """Input file does not have the expected columns."""
 

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import DomainError, EmptyDataError, LengthError, SchemaError
 
 _BLOCK_ROWS = 4096  # the fastest of 256..65536 for 18 traces of 2^16 rows
+PAPER_LENGTH = 2601  # points in the paper's analysis window (select_window)
+_END_OFFSET = 100    # observations after the window's end
 
 
 @dataclass
@@ -58,14 +60,14 @@ def log_returns(series):
     return out
 
 
-def select_window(values, end_offset=100, length=2601):
-    """The fixed analysis window: `length` points ending `end_offset` before
-    the final observation."""
+def select_window(values):
+    """The fixed analysis window: PAPER_LENGTH points ending _END_OFFSET
+    before the final observation."""
     values = np.asarray(values)
     n = values.size
-    if n < length + end_offset:
-        raise LengthError(f"series length {n} < required {length + end_offset}")
-    return values[n - length - end_offset:n - end_offset]
+    if n < PAPER_LENGTH + _END_OFFSET:
+        raise LengthError(f"series length {n} < required {PAPER_LENGTH + _END_OFFSET}")
+    return values[n - PAPER_LENGTH - _END_OFFSET:n - _END_OFFSET]
 
 
 @functools.lru_cache(maxsize=1)

@@ -71,35 +71,6 @@ def sample(spec, count, seed, stream=0):
     return mag
 
 
-def family_variance(spec):
-    """Closed-form variance where it exists."""
-    if spec.family == "gaussian":
-        return spec.scale ** 2
-    a = spec.df_or_alpha
-    if a <= 2:
-        return math.inf
-    # student_t(a) and symmetric_pareto(a) share the second moment a / (a - 2)
-    return spec.scale ** 2 * a / (a - 2)
-
-
-def empirical_tail_check(samples, q, grid):
-    """max over grid x of x^q * empirical P(|X| > x); a sampler sanity probe."""
-    if len(grid) == 0:
-        raise ConfigurationError("grid must be non-empty")
-    grid = np.asarray(grid, dtype=np.float64)
-    if np.any(grid <= 0):
-        raise ConfigurationError("grid values must be positive")
-    if q < 0:
-        raise ConfigurationError(f"q must be >= 0, got {q}")
-    samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ConfigurationError("samples must be non-empty")
-    absx = np.sort(np.abs(samples))
-    n = absx.size
-    exceed = n - np.searchsorted(absx, grid, side="right")
-    return float(np.max(grid ** q * exceed / n))
-
-
 def spec_from_config(cfg):
     """InnovationSpec from the flat `innovation` block of a config file."""
     return InnovationSpec(

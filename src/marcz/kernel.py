@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DegeneratePairError, DomainError, OutOfWindowError
+from .errors import ConfigurationError, DomainError, OutOfWindowError
 from .ingest import write_rows
 
 
+DEFAULT_WINDOW = 2 ** 14  # coefficient truncation window M of the simulations
 # l-block length of the kernel cross-sum convolution; bounds its memory
 _FFT_BLOCK = 2 ** 15
 
@@ -21,7 +22,7 @@ class CoefficientSpec:
     sigma: float
     scale: float = 1.0
     center_value: float = 1.0
-    window: int = 2 ** 14
+    window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if not 0.5 < self.sigma <= 1.0:
@@ -30,15 +31,6 @@ class CoefficientSpec:
             raise ConfigurationError(f"scale must be positive, got {self.scale}")
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
-
-
-def coefficient(spec, l):
-    """Evaluate c_l. Raises OutOfWindowError beyond the truncation window."""
-    if abs(l) > spec.window:
-        raise OutOfWindowError(f"|l|={abs(l)} exceeds window {spec.window}")
-    if l == 0:
-        return spec.center_value
-    return spec.scale * abs(l) ** -spec.sigma
 
 
 def coefficient_array(spec, half_width=None):
@@ -69,7 +61,7 @@ def _fft_length(target):
 
 def _powers(gamma, m):
     """|m|^(-gamma) for a float64 index array, with 0 where m == 0 (the
-    excluded terms l = j and l = k of the cross sum)."""
+    excluded terms l = d and l = 0 of the cross sum)."""
     with np.errstate(divide="ignore"):
         t = np.abs(m) ** -gamma
     t[m == 0] = 0.0
@@ -95,40 +87,6 @@ def _cross_sums(gamma_left, gamma_right, lag_max, radius):
         a = np.fft.rfft(_powers(gamma_left, m), size)
         spec += a * np.fft.rfft(_powers(gamma_right, l), size)  # pads a short last block
     return np.fft.irfft(spec, size)[block - 1:width]
-
-
-def _cross_sum_gather(j, k, pw_left, pw_right, radius):
-    l = np.arange(-radius, radius + 1, dtype=np.int64)
-    mask = (l != j) & (l != k)
-    lm = l[mask]
-    return float(np.dot(pw_left[np.abs(j - lm)], pw_right[np.abs(k - lm)]))
-
-
-def _cross_sum_lag(d, pw_left, pw_right, radius):
-    # Sum over l in [-radius, radius] \ {0, d} of pw_left[|d-l|] * pw_right[|l|]
-    # for d >= 1, split into l < 0, 0 < l < d, l > d.
-    s = np.dot(pw_left[d + 1:d + radius + 1], pw_right[1:radius + 1])
-    if d > 1:
-        s += np.dot(pw_left[1:d][::-1], pw_right[1:d])
-    s += np.dot(pw_left[1:radius - d + 1], pw_right[d + 1:radius + 1])
-    return float(s)
-
-
-def kernel_cross_sum(j, k, gamma_left, gamma_right, radius):
-    """Exact finite sum over l in [-radius, radius] \\ {j, k} of
-    |j-l|^(-gamma_left) * |k-l|^(-gamma_right)."""
-    if j == k:
-        raise DegeneratePairError(f"j and k must differ, got j=k={j}")
-    if gamma_left <= 0.5 or gamma_right <= 0.5:
-        raise DomainError("both exponents must exceed 1/2")
-    if radius < 2 * abs(j - k):
-        raise DomainError(f"radius {radius} must be >= 2*|j-k| = {2 * abs(j - k)}")
-    m = np.arange(radius + max(abs(j), abs(k)) + 1, dtype=np.float64)
-    pw_left = _powers(gamma_left, m)
-    pw_right = _powers(gamma_right, m)
-    if k == 0 and j > 0:
-        return _cross_sum_lag(j, pw_left, pw_right, radius)
-    return _cross_sum_gather(j, k, pw_left, pw_right, radius)
 
 
 @dataclass

@@ -9,11 +9,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SizeError
-from .ingest import write_rows
+from .ingest import PAPER_LENGTH, write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
-from .kernel import CoefficientSpec, _fft_length, coefficient_array
+from .kernel import DEFAULT_WINDOW, CoefficientSpec, _fft_length, coefficient_array
 
-DEFAULT_WINDOW = 2 ** 14
 TENSOR_ENTRY_CAP = 10 ** 6
 
 
@@ -23,7 +22,7 @@ class ProcessConfig:
     coeffs: tuple
     innov: InnovationSpec
     sharing: str = "shared"
-    length: int = 2601
+    length: int = PAPER_LENGTH
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
@@ -64,16 +63,14 @@ class PathEnsemble:
     warnings: list = field(default_factory=list)
 
 
-def truncation_error_bound(spec, M, innov_variance):
-    """L2 tail bound on the discarded coefficients:
-    var * scale^2 * 2 * M^(1-2*sigma) / (2*sigma - 1)."""
+def truncation_error_bound(spec, M):
+    """L2 tail bound on the discarded coefficients per unit innovation
+    variance: scale^2 * 2 * M^(1-2*sigma) / (2*sigma - 1)."""
     if spec.sigma <= 0.5:
         raise DomainError("series diverges for sigma <= 0.5")
     if M < 1:
         raise DomainError(f"M must be >= 1, got {M}")
-    if innov_variance <= 0:
-        raise DomainError("innovation variance must be positive")
-    return innov_variance * spec.scale ** 2 * 2.0 * M ** (1.0 - 2.0 * spec.sigma) / (
+    return spec.scale ** 2 * 2.0 * M ** (1.0 - 2.0 * spec.sigma) / (
         2.0 * spec.sigma - 1.0)
 
 
@@ -104,29 +101,25 @@ def _fft_convolve_valid(xi, kern_spectrum, kern_size):
     return np.fft.irfft(prod, size)[..., kern_size - 1:n]
 
 
-def simulate_paths(config, seed, method="fft", innovation_override=None):
+def simulate_paths(config, seed, method="fft"):
     """Simulate the s component paths by truncated convolution.
 
     Innovations cover indices 1-M .. n+M in one stream per component, so
     overlapping windows share values exactly; components with equal stream
-    and spec are computed once. `innovation_override` replaces the sampler
-    with a callable (r, count) -> vector for testing.
+    and spec are computed once.
     """
     n, M = config.length, config.window
     count = n + 2 * M
     x = np.empty((config.s, n))
     first_row = {}  # (stream, coefficient spec) -> row holding that path
     for r in range(config.s):
-        if innovation_override is not None:
-            xi = np.asarray(innovation_override(r, count), dtype=np.float64)
-        else:
-            stream = 0 if config.sharing == "shared" else r
-            key = (stream, config.coeffs[r])
-            if key in first_row:
-                x[r] = x[first_row[key]]
-                continue
-            first_row[key] = r
-            xi = sample(config.innov, count, seed, stream=stream)
+        stream = 0 if config.sharing == "shared" else r
+        key = (stream, config.coeffs[r])
+        if key in first_row:
+            x[r] = x[first_row[key]]
+            continue
+        first_row[key] = r
+        xi = sample(config.innov, count, seed, stream=stream)
         if method == "fft":
             spectrum = _kernel_spectrum(config.coeffs[r], M, _fft_length(xi.size))
             x[r] = _fft_convolve_valid(xi, spectrum, 2 * M + 1)
@@ -134,8 +127,7 @@ def simulate_paths(config, seed, method="fft", innovation_override=None):
             x[r] = np.convolve(xi, coefficient_array(config.coeffs[r], M), "valid")
         else:
             raise ConfigurationError(f"unknown method {method!r}")
-    var = 1.0  # bound reported per unit innovation variance
-    bound = max(truncation_error_bound(c, M, var) for c in config.coeffs)
+    bound = max(truncation_error_bound(c, M) for c in config.coeffs)
     ens = PathEnsemble(
         x=x, d=np.prod(x, axis=0), config=config, seed=seed,
         truncation_bound=bound, warnings=config.moment_warnings())
@@ -175,28 +167,20 @@ def ensemble_to_binary(ensemble, bin_path, sidecar_path):
         json.dump(sidecar, fh, indent=2)
 
 
-@dataclass
-class TensorEnsemble:
-    tensors: np.ndarray          # n x d_out**s flattened tensor products
-    seed: int
-
-
 def _pattern_matrix(d_out, m):
     # fixed unit-Frobenius-norm template
     return np.ones((d_out, m)) / np.sqrt(d_out * m)
 
 
-def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed,
-                          window=DEFAULT_WINDOW, scale=1.0,
-                          memory_cap=TENSOR_ENTRY_CAP):
+def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, window=DEFAULT_WINDOW):
     """Tensor products of vector linear processes with matrix coefficients
-    C_l = scale * |l|^(-sigma) * P, P a fixed unit-Frobenius pattern.
+    C_l = |l|^(-sigma) * P, P a fixed unit-Frobenius pattern.
 
-    Returns the flattened tensor sequence T_1..T_n. The scalar case
-    m = d_out = 1 reproduces the scalar pipeline exactly.
+    Returns the n x d_out^s array of the flattened tensors T_1..T_n. The
+    scalar case m = d_out = 1 reproduces the scalar pipeline exactly.
     """
-    if d_out ** s > memory_cap:
-        raise SizeError(f"d_out^s = {d_out ** s} exceeds cap {memory_cap}")
+    if d_out ** s > TENSOR_ENTRY_CAP:
+        raise SizeError(f"d_out^s = {d_out ** s} exceeds cap {TENSOR_ENTRY_CAP}")
     sigmas = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (s,))
     P = _pattern_matrix(d_out, m)
     count = n + 2 * window
@@ -204,10 +188,10 @@ def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed,
     for r in range(s):
         flat = sample(innov, m * count, seed, stream=r)
         xi = flat.reshape(m, count)
-        spec = CoefficientSpec(sigma=float(sigmas[r]), scale=scale, window=window)
+        spec = CoefficientSpec(sigma=float(sigmas[r]), window=window)
         spectrum = _kernel_spectrum(spec, window, _fft_length(count))
         comps[r] = _fft_convolve_valid(xi, spectrum, 2 * window + 1).T @ P.T
     tensors = comps[0]
     for r in range(1, s):
         tensors = np.einsum("ki,kj->kij", tensors.reshape(n, -1), comps[r]).reshape(n, -1)
-    return TensorEnsemble(tensors=tensors, seed=seed)
+    return tensors

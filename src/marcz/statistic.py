@@ -7,10 +7,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, LengthError
-from .ingest import write_rows
+from .ingest import PAPER_LENGTH, write_rows
 from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
 
-PAPER_LENGTH = 2601
 # verdict rule: half/quarter window offsets past cfg.start, and the mean ratios
 TRAILING_OFFSETS = (1000, 1500)
 THRESHOLDS = (1.2, 1.05)

@@ -11,7 +11,7 @@ from .errors import ConfigurationError
 from .ingest import write_rows
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
-from .linproc import ProcessConfig, simulate_paths, simulate_tensor_paths
+from .linproc import DEFAULT_WINDOW, ProcessConfig, simulate_paths, simulate_tensor_paths
 from .statistic import _partial_sums
 
 
@@ -83,7 +83,7 @@ def _ratio_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
     return {p: float(np.median(v)) for p, v in ratios.items()}
 
 
-def lrd_ratio_medians(sigma=0.8, window=2 ** 14, n=2 ** 16, reps=32, seed=0,
+def lrd_ratio_medians(sigma=0.8, window=DEFAULT_WINDOW, n=2 ** 16, reps=32, seed=0,
                       p_values=(1.2, 1.8), compare_at=2 ** 12):
     """Median over replications of f(n)/f(compare_at) for the known-mean
     trace of a gaussian LRD process, per requested p."""
@@ -133,7 +133,7 @@ def tensor_suite(n=2 ** 10, window=2 ** 10, seed=0, tol=1e-12):
     cfg = ProcessConfig(s=2, coeffs=(spec, spec), innov=innov,
                         sharing="independent", length=n, window=window)
     ens = simulate_paths(cfg, seed)
-    diff = np.max(np.abs(tens.tensors[:, 0] - ens.d))
+    diff = np.max(np.abs(tens[:, 0] - ens.d))
     scale = max(1.0, float(np.max(np.abs(ens.d))))
     result.check("scalar degeneracy max relative diff", diff / scale, tol, "<")
     return result

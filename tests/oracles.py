@@ -1,5 +1,6 @@
-"""Reference forms of the statistic, rebuilt step by step with plain numpy
-for the tests to compare the library's grid engine against."""
+"""Reference forms the tests compare the library against: the statistic
+rebuilt step by step with plain numpy, the scalar coefficient, the kernel
+cross sum as direct dot products, and the Hill tail-index estimator."""
 
 import numpy as np
 
@@ -21,3 +22,35 @@ def trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
         m = ewma(residual, cfg.rho)
     k = np.arange(1, x.size + 1, dtype=np.float64)
     return np.abs(np.cumsum(residual - m)) / k ** exponent
+
+
+def coefficient(spec, l):
+    """c_l of the symmetric family, one index at a time: center_value at
+    l = 0, else scale * |l|^(-sigma)."""
+    if l == 0:
+        return spec.center_value
+    return spec.scale * abs(l) ** -spec.sigma
+
+
+def cross_sums(gamma_left, gamma_right, lags, radius):
+    """For each lag d >= 1 of `lags`, the sum over l in [-radius, radius]
+    minus {0, d} of |d-l|^(-gamma_left) * |l|^(-gamma_right), as three dot
+    products over l < 0, 0 < l < d and l > d of one power table per exponent."""
+    m = np.arange(radius + max(lags) + 1, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        pw_left, pw_right = m ** -gamma_left, m ** -gamma_right
+    out = []
+    for d in lags:
+        s = np.dot(pw_left[d + 1:d + radius + 1], pw_right[1:radius + 1])
+        if d > 1:
+            s += np.dot(pw_left[1:d][::-1], pw_right[1:d])
+        s += np.dot(pw_left[1:radius - d + 1], pw_right[d + 1:radius + 1])
+        out.append(float(s))
+    return np.array(out)
+
+
+def hill_tail_index(samples, k):
+    """Hill's (1975) tail-index estimate from the k largest |x|: the inverse
+    mean log ratio of each of them to the (k+1)-th largest."""
+    top = np.sort(np.abs(samples))[-(k + 1):]
+    return 1.0 / np.mean(np.log(top[1:] / top[0]))

@@ -58,23 +58,31 @@ class TestSimulateCmd:
         main(["simulate", "--config", cfg, "--seed", "3", "--out", str(b)])
         assert (a / "ensemble.bin").read_bytes() == (b / "ensemble.bin").read_bytes()
 
-    @pytest.mark.parametrize("text", [
-        "[1, 2]",
-        '{"sigma": 0.8, "n": 256, "window": 512, "innovation": "gaussian"}',
-        '{"sigma": "abc", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
-        '{"sigma": 0.8, "n": "abc", "window": 512, "innovation": {"family": "gaussian"}}',
-        '{"s": "abc", "sigma": 0.8, "n": 256, "innovation": {"family": "gaussian"}}',
-        '{"sigma": 0.8, "n": 256, "window": "abc", "innovation": {"family": "gaussian"}}',
+    @pytest.mark.parametrize("text,missing", [
+        ("[1, 2]", None),
+        ('{"sigma": 0.8, "n": 256, "window": 512, "innovation": "gaussian"}', None),
+        ('{"sigma": "abc", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+         None),
+        ('{"sigma": 0.8, "n": "abc", "window": 512, "innovation": {"family": "gaussian"}}',
+         None),
+        ('{"s": "abc", "sigma": 0.8, "n": 256, "innovation": {"family": "gaussian"}}', None),
+        ('{"sigma": 0.8, "n": 256, "window": "abc", "innovation": {"family": "gaussian"}}',
+         None),
+        ('{"n": 100, "innovation": {"family": "gaussian"}}', "sigma"),
+        ('{"sigma": 0.8, "innovation": {"family": "gaussian"}}', "n"),
+        ('{"sigma": 0.8, "n": 100, "innovation": {"scale": 1.0}}', "family"),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
-            "window_text"])
-    def test_malformed_config_exit_code(self, tmp_path, capsys, text):
+            "window_text", "sigma_missing", "n_missing", "family_missing"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text, missing):
         path = tmp_path / "config.json"
         path.write_text(text)
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: {path}: ")
+        if missing:
+            assert f"missing key '{missing}'" in captured.err
         assert not (out / "ensemble.tsv").exists()
 
 

@@ -6,31 +6,29 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from marcz import (CoefficientSpec, coefficient, coefficient_array, kernel_cross_sum,
-                   verify_kernel_bound)
-from marcz.errors import (ConfigurationError, DegeneratePairError, DomainError,
-                          OutOfWindowError)
-from marcz.kernel import (_FFT_BLOCK, _cross_sum_gather, _cross_sum_lag, _lemma_bound,
-                          _powers)
+import oracles
+from marcz import CoefficientSpec, coefficient_array, verify_kernel_bound
+from marcz.errors import ConfigurationError, DomainError, OutOfWindowError
+from marcz.kernel import _FFT_BLOCK, _lemma_bound
 
 
 class TestCoefficient:
     def test_power_evaluation(self):
-        spec = CoefficientSpec(sigma=0.75)
-        assert coefficient(spec, 16) == pytest.approx(0.125)
+        arr = coefficient_array(CoefficientSpec(sigma=0.75, window=16))
+        assert arr[16 + 16] == pytest.approx(0.125)
 
     def test_negative_index(self):
-        spec = CoefficientSpec(sigma=1.0)
-        assert coefficient(spec, -4) == pytest.approx(0.25)
+        arr = coefficient_array(CoefficientSpec(sigma=1.0, window=4))
+        assert arr[4 - 4] == pytest.approx(0.25)
 
     def test_center_value(self):
-        spec = CoefficientSpec(sigma=0.6, scale=2.0, center_value=1.0)
-        assert coefficient(spec, 0) == 1.0
+        spec = CoefficientSpec(sigma=0.6, scale=2.0, center_value=1.0, window=8)
+        assert coefficient_array(spec)[8] == 1.0
 
     def test_out_of_window(self):
         spec = CoefficientSpec(sigma=0.75, window=10)
         with pytest.raises(OutOfWindowError):
-            coefficient(spec, 11)
+            coefficient_array(spec, 11)
 
     def test_invalid_sigma(self):
         with pytest.raises(ConfigurationError):
@@ -42,14 +40,14 @@ class TestCoefficient:
            st.floats(min_value=0.51, max_value=1.0))
     @settings(max_examples=50, deadline=None)
     def test_even_symmetry(self, l, sigma):
-        spec = CoefficientSpec(sigma=sigma, window=100)
-        assert coefficient(spec, l) == coefficient(spec, -l)
+        arr = coefficient_array(CoefficientSpec(sigma=sigma, window=100))
+        assert arr[100 + l] == arr[100 - l]
 
     def test_array_matches_scalar(self):
         spec = CoefficientSpec(sigma=0.8, window=50)
         arr = coefficient_array(spec)
         for l in (-50, -3, 0, 1, 50):
-            assert arr[l + 50] == coefficient(spec, l)
+            assert arr[l + 50] == oracles.coefficient(spec, l)
 
     def test_sup_norm(self):
         spec = CoefficientSpec(sigma=0.7, scale=1.5, window=200)
@@ -73,57 +71,45 @@ class TestLemmaBound:
 
 class TestCrossSum:
     def test_adjacent_pair_brute_force(self):
+        # the oracle at lag 1 (the shipped sums start at lag 2) against an
         # independently recomputed dense sum over l in [-1e6, 1e6]
-        assert kernel_cross_sum(1, 0, 2.0, 2.0, 10 ** 6) == pytest.approx(
+        assert oracles.cross_sums(2.0, 2.0, [1], 10 ** 6)[0] == pytest.approx(
             0.5797362673929054, abs=1e-9)
 
+    def test_lag_equals_gather(self):
+        # the oracle's three dot products against one masked sum over l
+        gamma, radius = 0.6, 400
+        l = np.arange(-radius, radius + 1, dtype=np.float64)
+        for d in (1, 2, 9, 30):
+            keep = (l != 0) & (l != d)
+            ref = np.sum(np.abs(d - l[keep]) ** -gamma * np.abs(l[keep]) ** -gamma)
+            assert oracles.cross_sums(gamma, gamma, [d], radius)[0] == pytest.approx(
+                ref, rel=1e-12)
+
     def test_dominated_by_inner_term(self):
-        assert kernel_cross_sum(2, 0, 10.0, 10.0, 100) == pytest.approx(
+        assert verify_kernel_bound(10.0, 2, 100).sums[0] == pytest.approx(
             1.0000338720417628, rel=1e-12)
 
-    def test_lag_equals_gather(self):
-        with np.errstate(divide="ignore"):
-            pw = np.arange(500, dtype=np.float64) ** -0.6
-        pw[0] = 0.0
-        for d in (1, 2, 9, 30):
-            a = _cross_sum_lag(d, pw, pw, 400)
-            b = _cross_sum_gather(d, 0, pw, pw, 400)
-            assert a == pytest.approx(b, rel=1e-12)
-
-    def test_degenerate_pair(self):
-        with pytest.raises(DegeneratePairError):
-            kernel_cross_sum(0, 0, 2.0, 2.0, 100)
-
     def test_radius_precondition(self):
-        with pytest.raises(DomainError):
-            kernel_cross_sum(10, 0, 2.0, 2.0, 15)
-
-    def test_translation_invariance(self):
-        a = kernel_cross_sum(3, 0, 1.5, 1.5, 5000)
-        b = kernel_cross_sum(10, 7, 1.5, 1.5, 5000)
-        assert a == pytest.approx(b, rel=1e-6)
+        for gamma, lag_max, radius in [(2.0, 10, 15),   # radius below 2 * lag_max
+                                       (0.5, 10, 100),  # gamma 1/2: the sum diverges
+                                       (2.0, 1, 100)]:  # no lag >= 2
+            with pytest.raises(DomainError):
+                verify_kernel_bound(gamma, lag_max, radius)
 
     def test_monotone_in_radius(self):
-        sums = [kernel_cross_sum(2, 0, 0.8, 0.8, r) for r in (100, 1000, 10000)]
+        sums = [verify_kernel_bound(0.8, 2, r).sums[0] for r in (100, 1000, 10000)]
         assert sums[0] < sums[1] < sums[2]
 
     def test_cauchy_tail_large_gamma(self):
         # increments shrink below 1e-8 past radius 1e5 once the tail exponent
         # sum is comfortably above 1 (gamma = 0.75 gives tail ~ r^(-1/2))
-        a = kernel_cross_sum(2, 0, 0.75, 0.75, 10 ** 5)
-        b = kernel_cross_sum(2, 0, 0.75, 0.75, 2 * 10 ** 5)
+        a = verify_kernel_bound(0.75, 2, 10 ** 5).sums[0]
+        b = verify_kernel_bound(0.75, 2, 2 * 10 ** 5).sums[0]
         assert b - a < 1e-2
-        a = kernel_cross_sum(2, 0, 1.5, 1.5, 10 ** 5)
-        b = kernel_cross_sum(2, 0, 1.5, 1.5, 2 * 10 ** 5)
+        a = verify_kernel_bound(1.5, 2, 10 ** 5).sums[0]
+        b = verify_kernel_bound(1.5, 2, 2 * 10 ** 5).sums[0]
         assert b - a < 1e-8
-
-
-def _direct_sums(gamma_left, gamma_right, lag_max, radius):
-    # the oracle: three dot products per lag over the full power tables
-    m = np.arange(radius + lag_max + 1, dtype=np.float64)
-    pw_left, pw_right = _powers(gamma_left, m), _powers(gamma_right, m)
-    return np.array([_cross_sum_lag(d, pw_left, pw_right, radius)
-                     for d in range(2, lag_max + 1)])
 
 
 @st.composite
@@ -145,14 +131,16 @@ class TestCrossSumsByFft:
     def test_matches_direct_dots(self, case):
         gamma, mixed, lag_max, radius = case
         sums = verify_kernel_bound(gamma, lag_max, radius, mixed=mixed).sums
-        ref = _direct_sums(gamma, 2.0 * gamma if mixed else gamma, lag_max, radius)
+        ref = oracles.cross_sums(gamma, 2.0 * gamma if mixed else gamma,
+                                 range(2, lag_max + 1), radius)
         np.testing.assert_allclose(sums, ref, rtol=1e-11, atol=0)
 
     def test_full_radius_worst_case(self):
         sums = verify_kernel_bound(1.5, 1000, 10 ** 6).sums
-        for d in (2, 10, 100, 1000):
-            assert sums[d - 2] == pytest.approx(
-                kernel_cross_sum(d, 0, 1.5, 1.5, 10 ** 6), rel=1e-11, abs=0)
+        lags = (2, 10, 100, 1000)
+        np.testing.assert_allclose(sums[np.subtract(lags, 2)],
+                                   oracles.cross_sums(1.5, 1.5, lags, 10 ** 6),
+                                   rtol=1e-11, atol=0)
 
     def test_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; the two power tables of

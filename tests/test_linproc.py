@@ -31,9 +31,10 @@ class TestSimulate:
         assert np.array_equal(a.x, b.x)
         assert np.array_equal(a.d, b.d)
 
-    def test_zero_innovations(self):
-        ens = simulate_paths(_config(), 0,
-                             innovation_override=lambda r, count: np.zeros(count))
+    def test_zero_innovations(self, monkeypatch):
+        monkeypatch.setattr(linproc, "sample",
+                            lambda spec, count, seed, stream: np.zeros(count))
+        ens = simulate_paths(_config(), 0)
         assert np.all(ens.x == 0)
 
     def test_shared_components_equal(self):
@@ -51,9 +52,11 @@ class TestSimulate:
         monkeypatch.setattr(linproc, "_fft_convolve_valid", counting)
         ens = simulate_paths(cfg, 3)
         assert len(calls) == 1
-        # the same path as when both components are convolved
+        # the same path as when both components are convolved: independent
+        # streams that all draw the shared stream's innovations
         xi = sample(cfg.innov, cfg.length + 2 * cfg.window, 3)
-        both = simulate_paths(cfg, 3, innovation_override=lambda r, count: xi)
+        monkeypatch.setattr(linproc, "sample", lambda spec, count, seed, stream: xi)
+        both = simulate_paths(_config(s=2, sigma=0.8, sharing="independent"), 3)
         assert len(calls) == 3
         assert np.array_equal(ens.x, both.x)
         assert np.array_equal(ens.d, both.d)
@@ -99,11 +102,10 @@ class TestProducts:
         assert np.all(ens.d >= 0)
         assert np.allclose(ens.d, ens.x[0] ** 2)
 
-    def test_zero_component_annihilates(self):
-        cfg = _config(s=3, sigma=0.8, sharing="independent")
-        ens = simulate_paths(
-            cfg, 0, innovation_override=lambda r, count:
-            np.zeros(count) if r == 1 else np.ones(count))
+    def test_zero_component_annihilates(self, monkeypatch):
+        monkeypatch.setattr(linproc, "sample", lambda spec, count, seed, stream:
+                            np.zeros(count) if stream == 1 else np.ones(count))
+        ens = simulate_paths(_config(s=3, sigma=0.8, sharing="independent"), 0)
         assert np.all(ens.d == 0)
 
 
@@ -184,17 +186,17 @@ def _is_5_smooth(v):
 class TestTruncationBound:
     def test_formula(self):
         spec = CoefficientSpec(sigma=0.75)
-        assert truncation_error_bound(spec, 10 ** 4, 1.0) == pytest.approx(0.04)
+        assert truncation_error_bound(spec, 10 ** 4) == pytest.approx(0.04)
 
     def test_sigma_one(self):
         spec = CoefficientSpec(sigma=1.0)
-        assert truncation_error_bound(spec, 10 ** 4, 1.0) == pytest.approx(2e-4)
+        assert truncation_error_bound(spec, 10 ** 4) == pytest.approx(2e-4)
 
     def test_boundary_divergence(self):
         from types import SimpleNamespace
         spec = SimpleNamespace(sigma=0.5, scale=1.0)
         with pytest.raises(DomainError):
-            truncation_error_bound(spec, 10 ** 4, 1.0)
+            truncation_error_bound(spec, 10 ** 4)
 
 
 class TestAutocovariance:
@@ -260,7 +262,7 @@ class TestTensor:
                             innov=InnovationSpec("gaussian"),
                             sharing="independent", length=2 ** 10, window=2 ** 10)
         ens = simulate_paths(cfg, 0)
-        assert np.max(np.abs(tens.tensors[:, 0] - ens.d)) < 1e-12 * max(
+        assert np.max(np.abs(tens[:, 0] - ens.d)) < 1e-12 * max(
             1.0, np.max(np.abs(ens.d)))
 
     def test_trace_decreasing_inside_bound(self):
@@ -270,8 +272,9 @@ class TestTensor:
             tens = simulate_tensor_paths(m=2, d_out=2, s=2, sigma=0.8,
                                          innov=InnovationSpec("gaussian"),
                                          n=n, seed=100 + r, window=2 ** 12)
+            assert tens.shape == (n, 2 ** 2)  # n x d_out^s
             # k^(-1/p) * ||sum_{j<=k} (T_j - mean T)||_F at p = 1.2
-            centred = tens.tensors - tens.tensors.mean(axis=0)
+            centred = tens - tens.mean(axis=0)
             k = np.arange(1, n + 1, dtype=np.float64)
             trace = np.linalg.norm(np.cumsum(centred, axis=0), axis=1) * k ** (-1.0 / 1.2)
             mids.append(trace[n // 8 - 1])
