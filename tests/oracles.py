@@ -54,3 +54,11 @@ def hill_tail_index(samples, k):
     mean log ratio of each of them to the (k+1)-th largest."""
     top = np.sort(np.abs(samples))[-(k + 1):]
     return 1.0 / np.mean(np.log(top[1:] / top[0]))
+
+
+def tail_probe(samples, q, grid):
+    """max over grid x of x^q * empirical P(|X| > x): bounded as the grid
+    extends when q is below the tail index, growing when above it."""
+    absx = np.sort(np.abs(samples))
+    exceed = absx.size - np.searchsorted(absx, np.asarray(grid), side="right")
+    return float(np.max(np.asarray(grid) ** q * exceed / absx.size))

@@ -117,3 +117,18 @@ class TestTailIndex:
             x = sample(spec, 10 ** 6, seed)
             assert oracles.hill_tail_index(x, 10 ** 4) == pytest.approx(
                 tail_coefficient(spec), rel=tol), f"seed={seed}"
+
+
+class TestTailCheck:
+    def test_subcritical_bounded(self):
+        x = sample(InnovationSpec("symmetric_pareto", 1.5), 10 ** 6, 1)
+        short = oracles.tail_probe(x, 1.4, np.geomspace(1, 30, 20))
+        long = oracles.tail_probe(x, 1.4, np.geomspace(1, 300, 40))
+        # below the tail index the probe stays of order one as the grid extends
+        assert long < 3.0 * max(short, 1.0)
+
+    def test_supercritical_grows(self):
+        x = sample(InnovationSpec("symmetric_pareto", 1.5), 10 ** 6, 1)
+        short = oracles.tail_probe(x, 1.6, np.geomspace(1, 10, 10))
+        long = oracles.tail_probe(x, 1.6, np.geomspace(1, 1000, 40))
+        assert long > 1.5 * short
