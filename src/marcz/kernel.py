@@ -13,6 +13,8 @@ from .ingest import write_rows
 DEFAULT_WINDOW = 2 ** 14  # coefficient truncation window M of the simulations
 # l-block length of the kernel cross-sum convolution; bounds its memory
 _FFT_BLOCK = 2 ** 15
+# the cross sums take |l| <= _NEAR_LAGS * lag_max by FFT, the rest by series
+_NEAR_LAGS = 32
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,7 @@ def _powers(gamma, m):
     return t
 
 
-def _cross_sums(gamma_left, gamma_right, lag_max, radius):
+def _fft_cross_sums(gamma_left, gamma_right, lag_max, radius):
     """Sum over l in [-radius, radius] of A(d-l) * B(l) for d = 2..lag_max,
     with A(m) = |m|^(-gamma_left), B(l) = |l|^(-gamma_right), A(0) = B(0) = 0.
 
@@ -87,6 +89,55 @@ def _cross_sums(gamma_left, gamma_right, lag_max, radius):
         a = np.fft.rfft(_powers(gamma_left, m), size)
         spec += a * np.fft.rfft(_powers(gamma_right, l), size)  # pads a short last block
     return np.fft.irfft(spec, size)[block - 1:width]
+
+
+def _far_series(gamma_left, gamma_right, lag_max, near, radius):
+    """The terms near < |l| <= radius of the cross sum for d = 2..lag_max,
+    where near > lag_max.
+
+    With B even, l and -l fold into l^(-ga-gb) * [(1-d/l)^(-ga) + (1+d/l)^(-ga)],
+    whose binomial series keeps the even powers: the sum is
+    sum over even j of 2*C(ga+j-1, j) * d^j * Z_j, Z_j = sum_l l^(-(ga+gb+j)).
+    Z_j shrinks by at least (near+1)^2 per step, so at d = lag_max term j is
+    at most c_j * (lag_max/(near+1))^j of term 0; terms are kept until that
+    bound falls below 2^-60.
+    """
+    x = lag_max / (near + 1)
+    coefs, c, j = [2.0], 1.0, 0  # 2*C(ga+j-1, j) for j = 0, 2, 4, ...
+    while True:
+        c *= (gamma_left + j) * (gamma_left + j + 1) / ((j + 1) * (j + 2))
+        j += 2
+        if c * x ** j < 2.0 ** -60:
+            break
+        coefs.append(2.0 * c)
+    z = np.zeros(len(coefs))
+    for l0 in range(near + 1, radius + 1, _FFT_BLOCK):
+        l = np.arange(l0, min(l0 + _FFT_BLOCK, radius + 1), dtype=np.float64)
+        t = l ** -(gamma_left + gamma_right)
+        inv_sq = 1.0 / (l * l)
+        for k in range(len(coefs)):
+            z[k] += np.sum(t)
+            t *= inv_sq
+    d_sq = np.arange(2, lag_max + 1, dtype=np.float64) ** 2
+    out = np.full(lag_max - 1, coefs[-1] * z[-1])
+    for k in range(len(coefs) - 2, -1, -1):
+        out *= d_sq
+        out += coefs[k] * z[k]
+    return out
+
+
+def _cross_sums(gamma_left, gamma_right, lag_max, radius):
+    """Sum over l in [-radius, radius] of A(d-l) * B(l) for d = 2..lag_max,
+    with A(m) = |m|^(-gamma_left), B(l) = |l|^(-gamma_right), A(0) = B(0) = 0.
+
+    |l| <= _NEAR_LAGS * lag_max runs through the blocked FFT and the rest,
+    where the summand is smooth in d/l, through the even series in d.
+    """
+    near = min(_NEAR_LAGS * lag_max, radius)
+    sums = _fft_cross_sums(gamma_left, gamma_right, lag_max, near)
+    if radius > near:
+        sums += _far_series(gamma_left, gamma_right, lag_max, near, radius)
+    return sums
 
 
 @dataclass

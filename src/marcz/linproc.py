@@ -181,15 +181,14 @@ def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, window=DEFAULT_WIN
     """
     if d_out ** s > TENSOR_ENTRY_CAP:
         raise SizeError(f"d_out^s = {d_out ** s} exceeds cap {TENSOR_ENTRY_CAP}")
-    sigmas = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (s,))
     P = _pattern_matrix(d_out, m)
     count = n + 2 * window
+    spectrum = _kernel_spectrum(CoefficientSpec(sigma=float(sigma), window=window),
+                                window, _fft_length(count))
     comps = np.empty((s, n, d_out))
     for r in range(s):
         flat = sample(innov, m * count, seed, stream=r)
         xi = flat.reshape(m, count)
-        spec = CoefficientSpec(sigma=float(sigmas[r]), window=window)
-        spectrum = _kernel_spectrum(spec, window, _fft_length(count))
         comps[r] = _fft_convolve_valid(xi, spectrum, 2 * window + 1).T @ P.T
     tensors = comps[0]
     for r in range(1, s):

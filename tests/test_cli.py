@@ -58,6 +58,23 @@ class TestSimulateCmd:
         main(["simulate", "--config", cfg, "--seed", "3", "--out", str(b)])
         assert (a / "ensemble.bin").read_bytes() == (b / "ensemble.bin").read_bytes()
 
+    def test_moment_warning_line(self, tmp_path):
+        # the long-series benchmark's heavy-tailed product config, shortened
+        cfg = {"s": 2, "sigma": 0.8, "n": 256, "window": 512,
+               "innovation": {"family": "symmetric_pareto", "alpha": 1.5, "scale": 1.0}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        proc = _run_python("-m", "marcz.cli", "simulate", "--config", str(path),
+                           "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "warning: innovation tail index 1.5 <= s v 2 = 2; moment condition for "
+            "the product rate violated (stress-test regime)\n")
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ensemble.bin", "ensemble.json", "ensemble.tsv", "manifest.json"]
+
     @pytest.mark.parametrize("text,missing", [
         ("[1, 2]", None),
         ('{"sigma": 0.8, "n": 256, "window": 512, "innovation": "gaussian"}', None),
@@ -299,9 +316,25 @@ class TestVerifyCmd:
         assert (tmp_path / "v" / "tensor_checks.tsv").exists()
         assert "pass" in capsys.readouterr().out
 
-    def test_kernel_suite_small_radius(self, capsys):
-        rc = main(["verify", "--suite", "kernel", "--radius", "10000"])
+    def test_kernel_suite_small_radius(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        rc = main(["verify", "--suite", "kernel", "--radius", "10000", "--out", str(out)])
         assert rc == 0
+        names = sorted(p.name for p in out.glob("kernel_*.tsv"))
+        assert names == ["kernel_checks.tsv", "kernel_gamma_0.6.tsv",
+                         "kernel_gamma_0.75.tsv", "kernel_gamma_1.5.tsv",
+                         "kernel_gamma_1.tsv", "kernel_mixed_gamma_0.75.tsv"]
+        for name in names[1:]:
+            assert len((out / name).read_text().splitlines()) == 1 + 999, name
+        capsys.readouterr()
+        # the full radius prints the spreads of the direct dot products
+        assert main(["verify", "--suite", "kernel"]) == 0
+        assert capsys.readouterr().out == (
+            "pass\tspread gamma=0.6\t1.34657 < 10\n"
+            "pass\tspread gamma=0.75\t2.43432 < 10\n"
+            "pass\tspread gamma=1\t1.12481 < 10\n"
+            "pass\tspread gamma=1.5\t2.31338 < 10\n"
+            "pass\tspread mixed gamma=0.75\t1.47086 < 10\n")
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "mslln", "--reps", "0"],

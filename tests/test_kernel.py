@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import oracles
 from marcz import CoefficientSpec, coefficient_array, verify_kernel_bound
 from marcz.errors import ConfigurationError, DomainError, OutOfWindowError
-from marcz.kernel import _FFT_BLOCK, _lemma_bound
+from marcz.kernel import _FFT_BLOCK, _NEAR_LAGS, _far_series, _lemma_bound
+from marcz.verify import kernel_suite
 
 
 class TestCoefficient:
@@ -127,6 +128,9 @@ class TestCrossSumsByFft:
     @example((2.0, False, 300, 1000))  # one block, shorter than _FFT_BLOCK
     @example((0.75, True, 300, _FFT_BLOCK + 5))  # 2R+1 not a multiple of the block
     @example((1.5, False, 2, _FFT_BLOCK))  # last block holds l = R alone
+    @example((0.75, False, 300, _NEAR_LAGS * 300))  # FFT alone, up to the seam
+    @example((0.75, True, 300, _NEAR_LAGS * 300 + 1))  # a far field of one l
+    @example((2.0, False, 300, 3 * _FFT_BLOCK))  # the most series terms
     @settings(max_examples=50, deadline=None)
     def test_matches_direct_dots(self, case):
         gamma, mixed, lag_max, radius = case
@@ -136,11 +140,26 @@ class TestCrossSumsByFft:
         np.testing.assert_allclose(sums, ref, rtol=1e-11, atol=0)
 
     def test_full_radius_worst_case(self):
-        sums = verify_kernel_bound(1.5, 1000, 10 ** 6).sums
-        lags = (2, 10, 100, 1000)
-        np.testing.assert_allclose(sums[np.subtract(lags, 2)],
-                                   oracles.cross_sums(1.5, 1.5, lags, 10 ** 6),
-                                   rtol=1e-11, atol=0)
+        lags = (2, 3, 10, 100, 500, 999, 1000)
+        for name, report in kernel_suite().reports.items():
+            gamma_right = 2.0 * report.gamma if report.mixed else report.gamma
+            np.testing.assert_allclose(
+                report.sums[np.subtract(lags, 2)],
+                oracles.cross_sums(report.gamma, gamma_right, lags, 10 ** 6),
+                rtol=1e-11, atol=0, err_msg=name)
+
+    def test_far_series_matches_direct_sum(self):
+        # the terms |l| > _NEAR_LAGS * lag_max, with l and -l folded, summed
+        # directly; the series is kept to rounding, well inside the 1e-11 above
+        lag_max, radius = 1000, 10 ** 6
+        near = _NEAR_LAGS * lag_max
+        l = np.arange(near + 1, radius + 1, dtype=np.float64)
+        for gamma_left, gamma_right in [(0.6, 0.6), (2.0, 2.0), (0.75, 1.5)]:
+            series = _far_series(gamma_left, gamma_right, lag_max, near, radius)
+            for d in (2, 500, 1000):
+                ref = np.sum(l ** -gamma_right
+                             * ((l - d) ** -gamma_left + (l + d) ** -gamma_left))
+                assert series[d - 2] == pytest.approx(ref, rel=1e-13, abs=0)
 
     def test_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; the two power tables of
