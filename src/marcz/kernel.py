@@ -11,7 +11,8 @@ from .ingest import write_rows
 
 
 DEFAULT_WINDOW = 2 ** 14  # coefficient truncation window M of the simulations
-# l-block length of the kernel cross-sum convolution; bounds its memory
+# l-block length of the kernel cross-sum convolution and far-field sums;
+# bounds their memory
 _FFT_BLOCK = 2 ** 15
 # the cross sums take |l| <= _NEAR_LAGS * lag_max by FFT, the rest by series
 _NEAR_LAGS = 32
@@ -119,10 +120,10 @@ def _far_series(gamma_left, gamma_right, lag_max, near, radius):
             z[k] += np.sum(t)
             t *= inv_sq
     d_sq = np.arange(2, lag_max + 1, dtype=np.float64) ** 2
-    out = np.full(lag_max - 1, coefs[-1] * z[-1])
-    for k in range(len(coefs) - 2, -1, -1):
+    out = np.zeros(lag_max - 1)
+    for a in (np.array(coefs) * z)[::-1]:  # Horner in d^2
         out *= d_sq
-        out += coefs[k] * z[k]
+        out += a
     return out
 
 
