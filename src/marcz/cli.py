@@ -44,8 +44,11 @@ def _parse_int_list(text):
 
 
 def _load_process_config(path):
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
     try:
@@ -75,7 +78,6 @@ def cmd_simulate(args):
         ens = linproc.simulate_paths(config, args.seed)
     for w in caught:
         sys.stderr.write(f"warning: {w.message}\n")
-    linproc.ensemble_to_tsv(ens, os.path.join(args.out, "ensemble.tsv"))
     linproc.ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
                                os.path.join(args.out, "ensemble.json"))
     _write_manifest(args.out, "simulate", args, [args.seed])
@@ -205,7 +207,7 @@ def cmd_verify(args):
         result.to_tsv(os.path.join(args.out, f"{args.suite}_checks.tsv"))
         for name, report in result.reports.items():
             report.to_tsv(os.path.join(args.out, f"{args.suite}_{name}.tsv"))
-        _write_manifest(args.out, "verify", args, [getattr(args, "seed", 0)])
+        _write_manifest(args.out, "verify", args, [args.seed])
     for r in result.rows:
         sys.stdout.write(f"{'pass' if r.passed else 'FAIL'}\t{r.name}\t"
                          f"{r.value:.6g} {r.comparison} {r.limit:.6g}\n")
@@ -272,7 +274,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarczError, OSError, json.JSONDecodeError) as exc:
+    except (MarczError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

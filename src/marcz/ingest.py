@@ -24,21 +24,24 @@ class PriceSeries:
 def load_prices(path, column_name="Adj Close", label=None):
     """Read a Yahoo-format CSV, coercing the price column to numbers and
     dropping rows that fail to parse."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: no header row")
-        if column_name not in reader.fieldnames:
-            raise SchemaError(f"{path}: missing column {column_name!r}")
-        prices = []
-        for row in reader:
-            try:
-                value = float(row[column_name])
-            except (TypeError, ValueError):
-                continue
-            if not math.isfinite(value):
-                continue
-            prices.append(value)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise SchemaError(f"{path}: no header row")
+            if column_name not in reader.fieldnames:
+                raise SchemaError(f"{path}: missing column {column_name!r}")
+            prices = []
+            for row in reader:
+                try:
+                    value = float(row[column_name])
+                except (TypeError, ValueError):
+                    continue
+                if not math.isfinite(value):
+                    continue
+                prices.append(value)
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
     if not prices:
         raise EmptyDataError(f"{path}: no numeric rows in column {column_name!r}")
     if label is None:

@@ -100,27 +100,12 @@ class ParamEstimate:
         }, indent=2)
 
 
-def _row_letters(table, s):
-    return [(e, table.outcome(s, e)) for e in sorted(table.exponent_list)]
-
-
-def _is_monotone(letters):
-    # D-prefix / C-suffix in ascending exponent
-    seen_c = False
-    for _, letter in letters:
-        if letter == "C":
-            seen_c = True
-        elif seen_c:
-            return False
-    return True
-
-
-def _flip(letters):
-    """(last-D exponent, first-C exponent) or None when the row is all D/C."""
-    for i in range(len(letters) - 1):
-        if letters[i][1] == "D" and letters[i + 1][1] == "C":
-            return letters[i][0], letters[i + 1][0]
-    return None
+def _d_count(table, s, exps):
+    """Number of D cells of row s read in ascending exponent, or None when
+    the row is not D-prefix/C-suffix."""
+    row = "".join(table.outcome(s, e) for e in exps)
+    k = row.count("D")
+    return k if row == "D" * k + "C" * (len(row) - k) else None
 
 
 def estimate_parameters(table):
@@ -140,31 +125,29 @@ def estimate_parameters(table):
     exps = sorted(table.exponent_list)
     grid_step = min(b - a for a, b in zip(exps, exps[1:])) if len(exps) > 1 else 0.1
 
-    usable = {}
+    counts = {}  # s -> D cells of each D-prefix/C-suffix row
     for s in s_values:
-        letters = _row_letters(table, s)
-        if _is_monotone(letters):
-            usable[s] = letters
-        else:
+        k = _d_count(table, s, exps)
+        if k is None:
             notes.append(f"row s={s} is not D-prefix/C-suffix; excluded as inconsistent")
-    if 1 not in usable:
+        else:
+            counts[s] = k
+    if 1 not in counts:
         raise ConfigurationError("s=1 row is inconsistent; no sigma anchor")
 
     # --- sigma from the s=1 row (ignoring the CLT-forced e=0.5 column) ---
-    row1 = [(e, l) for e, l in usable[1] if e > 0.5]
-    if all(l == "C" for _, l in row1):
+    k = counts.pop(1)
+    if k <= sum(e <= 0.5 for e in exps):  # all C beyond e=0.5
         sigma_est = EstimateValue("lower_bound", 1.0)
         notes.append("s=1 row converges at every tested e > 0.5: no (or limited) LRD")
+    elif k == len(exps):  # all D
+        e_star = exps[-1] + grid_step / 2.0
+        sigma_est = EstimateValue("point", 1.5 - e_star)
+        notes.append("s=1 row diverges at every tested exponent; "
+                     "flip placed half a grid step beyond the grid")
     else:
-        flip = _flip(row1)
-        if flip is None:  # all D beyond e=0.5
-            e_star = max(e for e, _ in row1) + grid_step / 2.0
-            sigma_est = EstimateValue("point", 1.5 - e_star)
-            notes.append("s=1 row diverges at every tested exponent; "
-                         "flip placed half a grid step beyond the grid")
-        else:
-            e_star = (flip[0] + flip[1]) / 2.0
-            sigma_est = EstimateValue("point", 1.5 - e_star)
+        e_star = (exps[k - 1] + exps[k]) / 2.0
+        sigma_est = EstimateValue("point", 1.5 - e_star)
     evidence.append({"s": 1, "flip_exponent": None if sigma_est.kind == "lower_bound"
                      else e_star, "constraint": f"sigma {sigma_est.kind} {sigma_est.value:g}"})
 
@@ -172,14 +155,12 @@ def estimate_parameters(table):
 
     # --- alpha_1 from each s >= 2 row ---
     points, point_intervals, uppers, lowers = [], [], [], []
-    for s in (s for s in s_values if s >= 2 and s in usable):
-        letters = usable[s]
+    for s, k in counts.items():
         # part of the rate bound already fixed by sigma_hat, which may lie
         # at or below 0.5, outside rate_bound's domain
         explained = _bound(s, (sigma_hat,) * s, math.inf, False)
-        flip = _flip(letters)
-        if flip is None and all(l == "D" for _, l in letters):
-            p_ub = 1.0 / max(e for e, _ in letters)
+        if k == len(exps):  # all D
+            p_ub = 1.0 / exps[-1]
             if explained > p_ub + _EQ_TOL:
                 uppers.append(s * p_ub)
                 evidence.append({"s": s, "flip_exponent": None,
@@ -188,11 +169,11 @@ def estimate_parameters(table):
                 evidence.append({"s": s, "flip_exponent": None,
                                  "constraint": "no tail information (row explained by LRD term)"})
             continue
-        if flip is None:  # all C, including p=2: outside the theory's reach
+        if k == 0:  # all C, including p=2: outside the theory's reach
             evidence.append({"s": s, "flip_exponent": None,
                              "constraint": "no tail information (row all-C)"})
             continue
-        e_d, e_c = flip
+        e_d, e_c = exps[k - 1], exps[k]
         p_lo, p_hi = 1.0 / e_c, 1.0 / e_d
         if explained <= p_hi + _EQ_TOL:
             # the observed flip is attributable to the LRD term alone

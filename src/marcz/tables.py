@@ -77,8 +77,11 @@ class VerdictTable:
 
 def tables_from_tsv(path):
     """Parse one or more verdict tables from the TSV layout written above."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     if len(lines) < 2:
         raise ConfigurationError(f"{path}: no verdict rows")
     header = lines[0].split("\t")

@@ -45,9 +45,8 @@ class TestSimulateCmd:
         rc = main(["simulate", "--config", self._config(tmp_path),
                    "--seed", "3", "--out", str(out)])
         assert rc == 0
-        for name in ("ensemble.tsv", "ensemble.bin", "ensemble.json",
-                     "manifest.json"):
-            assert (out / name).exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ensemble.bin", "ensemble.json", "manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seeds"] == [3]
 
@@ -73,7 +72,7 @@ class TestSimulateCmd:
             "warning: innovation tail index 1.5 <= s v 2 = 2; moment condition for "
             "the product rate violated (stress-test regime)\n")
         assert sorted(p.name for p in out.iterdir()) == [
-            "ensemble.bin", "ensemble.json", "ensemble.tsv", "manifest.json"]
+            "ensemble.bin", "ensemble.json", "manifest.json"]
 
     @pytest.mark.parametrize("text,missing", [
         ("[1, 2]", None),
@@ -88,8 +87,10 @@ class TestSimulateCmd:
         ('{"n": 100, "innovation": {"family": "gaussian"}}', "sigma"),
         ('{"sigma": 0.8, "innovation": {"family": "gaussian"}}', "n"),
         ('{"sigma": 0.8, "n": 100, "innovation": {"scale": 1.0}}', "family"),
+        ('{"s": 1,', None),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
-            "window_text", "sigma_missing", "n_missing", "family_missing"])
+            "window_text", "sigma_missing", "n_missing", "family_missing",
+            "json_syntax"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, missing):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -100,7 +101,7 @@ class TestSimulateCmd:
         assert captured.err.startswith(f"error: {path}: ")
         if missing:
             assert f"missing key '{missing}'" in captured.err
-        assert not (out / "ensemble.tsv").exists()
+        assert not (out / "ensemble.bin").exists()
 
 
 class TestAnalyzeCmd:
@@ -348,6 +349,22 @@ class TestVerifyCmd:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{path}", "--out", "{out}"],
+    ["estimate", "--table", "{path}"],
+    ["analyze", "--input", "{path}", "--out", "{out}"],
+    ["analyze", "--returns-csv", "{path}", "--out", "{out}"],
+], ids=["simulate_config", "estimate_table", "analyze_input", "analyze_returns"])
+def test_not_utf8_input_exit_code(tmp_path, capsys, argv):
+    path, out = tmp_path / "input", tmp_path / "run"
+    path.write_bytes(b"\xff\xfe\x00garbage")
+    assert main([a.format(path=path, out=out) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_cli_import_loads_numpy_only():

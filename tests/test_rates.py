@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -5,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from marcz import (rate_bound, estimate_parameters, predict_table,
-                   tables_from_tsv)
-from marcz.errors import ConfigurationError, DomainError
+from marcz import (DEFAULT_EXPONENTS, Verdict, VerdictTable, rate_bound,
+                   estimate_parameters, predict_table, tables_from_tsv)
+from marcz.errors import ConfigurationError, DomainError, MarczError
 
 
 class TestRateBound:
@@ -198,6 +200,42 @@ class TestEstimate:
         blob = json.loads(est.to_json())
         assert blob["sigma"]["kind"] == "point"
         assert any(ev["s"] == 1 for ev in blob["per_s_evidence"])
+
+
+def _grid(s_list, rows):
+    table = VerdictTable(label="pin", s_list=s_list, exponent_list=DEFAULT_EXPONENTS)
+    for s, row in zip(s_list, rows):
+        for e, letter in zip(DEFAULT_EXPONENTS, row):
+            table.cells[(s, e)] = Verdict("Converges" if letter == "C" else "Diverges")
+    return table
+
+
+def _inversion_digest(tables):
+    digest = hashlib.sha256()
+    for table in tables:
+        try:
+            text = estimate_parameters(table).to_json()
+        except MarczError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        digest.update(text.encode() + b"\0")
+    return digest.hexdigest()
+
+
+class TestInversionPin:
+    """estimate_parameters' JSON, or its error, over whole families of
+    default-grid tables: a change to any one output changes the digest."""
+
+    def test_monotone_rows(self):
+        rows = ["D" * k + "C" * (6 - k) for k in range(7)]
+        tables = (_grid((1, 2, 3), r) for r in itertools.product(rows, repeat=3))
+        assert _inversion_digest(tables) == (
+            "9eef43989e3616d7eae0aa9ab4a55368c324747f833eb1d10021a5accc74ab46")
+
+    def test_two_rows(self):
+        rows = ["".join(r) for r in itertools.product("CD", repeat=6)]
+        tables = (_grid((1, 2), r) for r in itertools.product(rows, repeat=2))
+        assert _inversion_digest(tables) == (
+            "c4938f50d283ea18ce29e9044d76e40de82e9083382413beb96a3d35b5be6c24")
 
 
 def _assert_recovers(sigma, alpha1):
