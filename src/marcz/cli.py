@@ -73,11 +73,9 @@ def _load_process_config(path):
 def cmd_simulate(args):
     config = _load_process_config(args.config)
     os.makedirs(args.out, exist_ok=True)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        ens = linproc.simulate_paths(config, args.seed)
-    for w in caught:
-        sys.stderr.write(f"warning: {w.message}\n")
+    ens = linproc.simulate_paths(config, args.seed)
+    for w in ens.warnings:
+        sys.stderr.write(f"warning: {w}\n")
     linproc.ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
                                os.path.join(args.out, "ensemble.json"))
     _write_manifest(args.out, "simulate", args, [args.seed])

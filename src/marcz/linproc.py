@@ -3,7 +3,6 @@ tensor-product variant."""
 
 import functools
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,7 +10,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, SizeError
 from .ingest import PAPER_LENGTH, write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
-from .kernel import DEFAULT_WINDOW, CoefficientSpec, _fft_length, coefficient_array
+from .kernel import DEFAULT_WINDOW, _fft_length, coefficient_array
 
 TENSOR_ENTRY_CAP = 10 ** 6
 
@@ -44,13 +43,11 @@ class ProcessConfig:
 
     def moment_warnings(self):
         """Regularity check: the product rate bound needs E|xi|^(s v 2) finite."""
-        need = max(self.s, 2)
-        out = []
-        if tail_coefficient(self.innov) <= need:
-            out.append(
-                f"innovation tail index {tail_coefficient(self.innov):g} <= s v 2 = {need}; "
-                "moment condition for the product rate violated (stress-test regime)")
-        return out
+        need, tail = max(self.s, 2), tail_coefficient(self.innov)
+        if tail > need:
+            return []
+        return [f"innovation tail index {tail:g} <= s v 2 = {need}; "
+                "moment condition for the product rate violated (stress-test regime)"]
 
 
 @dataclass
@@ -101,39 +98,38 @@ def _fft_convolve_valid(xi, kern_spectrum, kern_size):
     return np.fft.irfft(prod, size)[..., kern_size - 1:n]
 
 
-def simulate_paths(config, seed, method="fft"):
-    """Simulate the s component paths by truncated convolution.
-
-    Innovations cover indices 1-M .. n+M in one stream per component, so
-    overlapping windows share values exactly; components with equal stream
-    and spec are computed once.
-    """
+def _component_paths(config, r, seed, rows=1, method="fft"):
+    """rows x n paths of component r: rows * (n + 2M) draws of stream 0 if
+    shared else r (indices 1-M .. n+M per row), convolved with config.coeffs[r]."""
     n, M = config.length, config.window
     count = n + 2 * M
-    x = np.empty((config.s, n))
-    first_row = {}  # (stream, coefficient spec) -> row holding that path
-    for r in range(config.s):
-        stream = 0 if config.sharing == "shared" else r
-        key = (stream, config.coeffs[r])
-        if key in first_row:
-            x[r] = x[first_row[key]]
+    stream = 0 if config.sharing == "shared" else r
+    xi = sample(config.innov, rows * count, seed, stream=stream).reshape(rows, count)
+    if method == "fft":
+        spectrum = _kernel_spectrum(config.coeffs[r], M, _fft_length(count))
+        return _fft_convolve_valid(xi, spectrum, 2 * M + 1)
+    if method == "direct":
+        kern = coefficient_array(config.coeffs[r], M)
+        return np.stack([np.convolve(row, kern, "valid") for row in xi])
+    raise ConfigurationError(f"unknown method {method!r}")
+
+
+def simulate_paths(config, seed, method="fft"):
+    """Simulate the s component paths by truncated convolution; with shared
+    streams, components with equal spec are computed once. Moment-condition
+    violations are reported in the ensemble's `warnings` only."""
+    x = np.empty((config.s, config.length))
+    first_row = {}  # coefficient spec -> row holding its path, for shared streams
+    for r, spec in enumerate(config.coeffs):
+        if config.sharing == "shared" and spec in first_row:
+            x[r] = x[first_row[spec]]
             continue
-        first_row[key] = r
-        xi = sample(config.innov, count, seed, stream=stream)
-        if method == "fft":
-            spectrum = _kernel_spectrum(config.coeffs[r], M, _fft_length(xi.size))
-            x[r] = _fft_convolve_valid(xi, spectrum, 2 * M + 1)
-        elif method == "direct":
-            x[r] = np.convolve(xi, coefficient_array(config.coeffs[r], M), "valid")
-        else:
-            raise ConfigurationError(f"unknown method {method!r}")
-    bound = max(truncation_error_bound(c, M) for c in config.coeffs)
-    ens = PathEnsemble(
+        first_row[spec] = r
+        x[r] = _component_paths(config, r, seed, method=method)[0]
+    bound = max(truncation_error_bound(c, config.window) for c in config.coeffs)
+    return PathEnsemble(
         x=x, d=np.prod(x, axis=0), config=config, seed=seed,
         truncation_bound=bound, warnings=config.moment_warnings())
-    for w in ens.warnings:
-        warnings.warn(w, stacklevel=2)
-    return ens
 
 
 def ensemble_to_tsv(ensemble, path):
@@ -167,30 +163,21 @@ def ensemble_to_binary(ensemble, bin_path, sidecar_path):
         json.dump(sidecar, fh, indent=2)
 
 
-def _pattern_matrix(d_out, m):
-    # fixed unit-Frobenius-norm template
-    return np.ones((d_out, m)) / np.sqrt(d_out * m)
-
-
-def simulate_tensor_paths(m, d_out, s, sigma, innov, n, seed, window=DEFAULT_WINDOW):
-    """Tensor products of vector linear processes with matrix coefficients
-    C_l = |l|^(-sigma) * P, P a fixed unit-Frobenius pattern.
+def simulate_tensor_paths(config, m, d_out, seed):
+    """Tensor products of vector linear processes: component r has m-vector
+    innovations and matrix coefficients C_l = c_l * P, with c_l the scalar
+    coefficients of config.coeffs[r] and P the fixed unit-Frobenius
+    d_out x m pattern of equal entries.
 
     Returns the n x d_out^s array of the flattened tensors T_1..T_n. The
-    scalar case m = d_out = 1 reproduces the scalar pipeline exactly.
+    scalar case m = d_out = 1 reproduces simulate_paths' products exactly.
     """
+    s, n = config.s, config.length
     if d_out ** s > TENSOR_ENTRY_CAP:
         raise SizeError(f"d_out^s = {d_out ** s} exceeds cap {TENSOR_ENTRY_CAP}")
-    P = _pattern_matrix(d_out, m)
-    count = n + 2 * window
-    spectrum = _kernel_spectrum(CoefficientSpec(sigma=float(sigma), window=window),
-                                window, _fft_length(count))
-    comps = np.empty((s, n, d_out))
-    for r in range(s):
-        flat = sample(innov, m * count, seed, stream=r)
-        xi = flat.reshape(m, count)
-        comps[r] = _fft_convolve_valid(xi, spectrum, 2 * window + 1).T @ P.T
-    tensors = comps[0]
+    P = np.ones((d_out, m)) / np.sqrt(d_out * m)
+    tensors = _component_paths(config, 0, seed, rows=m).T @ P.T
     for r in range(1, s):
-        tensors = np.einsum("ki,kj->kij", tensors.reshape(n, -1), comps[r]).reshape(n, -1)
+        comp = _component_paths(config, r, seed, rows=m).T @ P.T
+        tensors = np.einsum("ki,kj->kij", tensors, comp).reshape(n, -1)
     return tensors

@@ -166,7 +166,10 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
         # f would be EWMA rounding noise, and its verdict meaningless
         raise DomainError(f"series is constant ({x[0]:g}); no verdict")
     offsets = TRAILING_OFFSETS
-    if proportional and x.size != PAPER_LENGTH:
+    if proportional:
+        if x.size < PAPER_LENGTH:  # scaled windows only ever grow from the paper's
+            raise LengthError(f"proportional windows need at least {PAPER_LENGTH} "
+                              f"values, got {x.size}")
         factor = x.size / PAPER_LENGTH
         cfg = replace(cfg, start=max(1, int(round(cfg.start * factor))))
         offsets = tuple(int(round(o * factor)) for o in offsets)

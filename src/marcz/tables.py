@@ -80,10 +80,14 @@ def tables_from_tsv(path):
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
+        return _parse_tables(lines)
+    except (UnicodeDecodeError, ConfigurationError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _parse_tables(lines):
     if len(lines) < 2:
-        raise ConfigurationError(f"{path}: no verdict rows")
+        raise ConfigurationError("no verdict rows")
     header = lines[0].split("\t")
     if header[:2] != ["label", "s"]:
         raise ConfigurationError("verdict table must start with 'label\\ts' columns")
@@ -96,7 +100,7 @@ def tables_from_tsv(path):
         parts = ln.split("\t")
         label, s = parts[0], parts[1] if len(parts) > 1 else ""
         letters = [v.upper() for v in parts[2:]]
-        if not s.isdigit():
+        if not s.isdecimal():  # isdigit() also passes '²', which int() rejects
             raise ConfigurationError(f"row for {label}: s must be an integer, got {s!r}")
         s = int(s)
         if len(letters) != len(exponents) or not set(letters) <= {"C", "D"}:

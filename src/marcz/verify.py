@@ -125,13 +125,10 @@ def tensor_suite(n=2 ** 10, window=2 ** 10, seed=0, tol=1e-12):
     """Scalar-degeneracy check: the tensor pipeline at m = d_out = 1, s = 2
     reproduces the scalar product pipeline."""
     result = SuiteResult(suite="tensor")
-    sigma = 0.8
-    innov = InnovationSpec(family="gaussian")
-    tens = simulate_tensor_paths(m=1, d_out=1, s=2, sigma=sigma, innov=innov,
-                                 n=n, seed=seed, window=window)
-    spec = CoefficientSpec(sigma=sigma, window=window)
-    cfg = ProcessConfig(s=2, coeffs=(spec, spec), innov=innov,
+    spec = CoefficientSpec(sigma=0.8, window=window)
+    cfg = ProcessConfig(s=2, coeffs=(spec, spec), innov=InnovationSpec(family="gaussian"),
                         sharing="independent", length=n, window=window)
+    tens = simulate_tensor_paths(cfg, m=1, d_out=1, seed=seed)
     ens = simulate_paths(cfg, seed)
     diff = np.max(np.abs(tens[:, 0] - ens.d))
     scale = max(1.0, float(np.max(np.abs(ens.d))))

@@ -126,6 +126,32 @@ class TestAnalyzeCmd:
                    "--out", str(tmp_path / "x")])
         assert rc == 3
 
+    @pytest.mark.parametrize("n", [10, 2600])
+    def test_proportional_floor_exit_code(self, tmp_path, capsys, n):
+        # scaled windows never shrink below the paper's 2601-point ones
+        rets = tmp_path / "short.csv"
+        _write_returns(rets, n=n)
+        out = tmp_path / "x"
+        rc = main(["analyze", "--returns-csv", str(rets), "--proportional",
+                   "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: proportional windows need at least 2601 "
+                                f"values, got {n}\n")
+        assert not (out / "verdicts.tsv").exists()
+
+    def test_proportional_at_paper_length(self, tmp_path, capsys):
+        # at the floor the scaled windows are the paper's
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        stdout = []
+        for flags in ([], ["--proportional"]):
+            assert main(["analyze", "--returns-csv", str(rets), *flags,
+                         "--out", str(tmp_path / "x")]) == 0
+            stdout.append(capsys.readouterr().out)
+        assert stdout[0] == stdout[1]
+
     def test_price_csv_pipeline(self, tmp_path):
         # enough synthetic prices for the fixed 2601-point window
         rng = np.random.default_rng(0)
@@ -273,12 +299,20 @@ class TestEstimateCmd:
         "label\ts\t0.5\t1\nA\tone\tD\tC\n",
         "label\ts\t0.5\t1\nA\t1\tD\tX\n",
         "label\ts\t0.5\t1\nA\t1\tD\tC\nA\t1\tD\tD\n",
+        "label\tsigma\t0.5\t1\nA\t1\tD\tC\n",
+        "label\ts\t0.5\thalf\nA\t1\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t1.5\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t1\tD\n",
+        "label\ts\t0.5\t0.5\nA\t1\tD\tC\n",
+        "label\ts\t0.5\t1\nA\t\u00b2\tD\tC\n",
     ])
     def test_malformed_table_exit_code(self, tmp_path, capsys, text):
         path = tmp_path / "bad.tsv"
         path.write_text(text)
         assert main(["estimate", "--table", str(path)]) == 3
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
 
 
 class TestTablePredictCmd:

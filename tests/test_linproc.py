@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -83,9 +84,12 @@ class TestSimulate:
 
     def test_moment_warning(self):
         cfg = _config(innov=InnovationSpec("symmetric_pareto", 1.5))
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported in ens.warnings only
             ens = simulate_paths(cfg, 0)
-        assert ens.warnings
+        assert ens.warnings == [
+            "innovation tail index 1.5 <= s v 2 = 2; moment condition for the "
+            "product rate violated (stress-test regime)"]
 
     def test_bad_length(self):
         with pytest.raises(ConfigurationError):
@@ -254,24 +258,23 @@ class TestExport:
 
 class TestTensor:
     def test_scalar_degeneracy(self):
-        tens = simulate_tensor_paths(m=1, d_out=1, s=2, sigma=0.8,
-                                     innov=InnovationSpec("gaussian"),
-                                     n=2 ** 10, seed=0, window=2 ** 10)
-        spec = CoefficientSpec(sigma=0.8, window=2 ** 10)
-        cfg = ProcessConfig(s=2, coeffs=(spec, spec),
-                            innov=InnovationSpec("gaussian"),
-                            sharing="independent", length=2 ** 10, window=2 ** 10)
-        ens = simulate_paths(cfg, 0)
-        assert np.max(np.abs(tens[:, 0] - ens.d)) < 1e-12 * max(
-            1.0, np.max(np.abs(ens.d)))
+        # one engine: at m = d_out = 1 the tensor column is simulate_paths'
+        # product, in either stream layout and with sigma per component
+        mixed = ProcessConfig(s=2, coeffs=(CoefficientSpec(sigma=0.6, window=2 ** 9),
+                                           CoefficientSpec(sigma=0.9, window=2 ** 9)),
+                              innov=InnovationSpec("gaussian"), sharing="independent",
+                              length=2 ** 9, window=2 ** 9)
+        for cfg in (_config(s=2, sigma=0.8, sharing="shared"),
+                    _config(s=2, sigma=0.8, sharing="independent"), mixed):
+            tens = simulate_tensor_paths(cfg, m=1, d_out=1, seed=3)
+            assert tens[:, 0].tobytes() == simulate_paths(cfg, 3).d.tobytes()
 
     def test_trace_decreasing_inside_bound(self):
         finals, mids = [], []
         n = 2 ** 13
+        cfg = _config(s=2, sigma=0.8, n=n, window=2 ** 12, sharing="independent")
         for r in range(16):
-            tens = simulate_tensor_paths(m=2, d_out=2, s=2, sigma=0.8,
-                                         innov=InnovationSpec("gaussian"),
-                                         n=n, seed=100 + r, window=2 ** 12)
+            tens = simulate_tensor_paths(cfg, m=2, d_out=2, seed=100 + r)
             assert tens.shape == (n, 2 ** 2)  # n x d_out^s
             # k^(-1/p) * ||sum_{j<=k} (T_j - mean T)||_F at p = 1.2
             centred = tens - tens.mean(axis=0)
@@ -283,6 +286,5 @@ class TestTensor:
 
     def test_memory_cap(self):
         with pytest.raises(SizeError):
-            simulate_tensor_paths(m=2, d_out=100, s=4, sigma=0.8,
-                                  innov=InnovationSpec("gaussian"),
-                                  n=8, seed=0, window=8)
+            simulate_tensor_paths(_config(s=4, sigma=0.8, n=8, window=8),
+                                  m=2, d_out=100, seed=0)

@@ -257,6 +257,18 @@ class TestVerdictTable:
             assert b.cells[key].letter == v.letter
             assert np.array(b.cells[key].ratios).tobytes() == np.array(v.ratios).tobytes()
 
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_sign_symmetry(self, seed):
+        # |x - mu| and every later step are sign-symmetric, so negating the
+        # series keeps every trace and the verdicts.json text to the bit
+        x = sample(InnovationSpec("student_t", 3.0), PAPER_LENGTH, seed)
+        a = verdict_table(x, collect_traces=True)
+        b = verdict_table(-x, collect_traces=True)
+        assert b.to_json() == a.to_json()
+        for key, tr in a.traces.items():
+            assert b.traces[key].f.tobytes() == tr.f.tobytes()
+
     def test_cells_match_trace(self):
         # every cell, and the one-cell trace, against the step-by-step oracle
         cases = [(2601, DEFAULT_S_LIST, DEFAULT_EXPONENTS, False),
