@@ -43,6 +43,15 @@ def _parse_int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _int_key(raw, key, default=None):
+    """raw[key], or `default` when given and the key is absent, which must be
+    a JSON integer: a float, a string or a boolean is rejected."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if type(value) is not int:
+        raise ConfigurationError(f"key {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _load_process_config(path):
     try:
         with open(path) as fh:
@@ -52,9 +61,9 @@ def _load_process_config(path):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
     try:
-        s = int(raw.get("s", 1))
+        s = _int_key(raw, "s", 1)
         sigmas = raw.get("sigmas") or [raw["sigma"]] * s
-        window = int(raw.get("window", linproc.DEFAULT_WINDOW))
+        window = _int_key(raw, "window", linproc.DEFAULT_WINDOW)
         coeffs = tuple(
             kernel.CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
                                    center_value=float(raw.get("center_value", 1.0)),
@@ -62,7 +71,7 @@ def _load_process_config(path):
             for sg in sigmas)
         return linproc.ProcessConfig(
             s=s, coeffs=coeffs, innov=innovations.spec_from_config(raw["innovation"]),
-            sharing=raw.get("sharing", "shared"), length=int(raw["n"]),
+            sharing=raw.get("sharing", "shared"), length=_int_key(raw, "n"),
             window=window)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from None

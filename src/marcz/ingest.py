@@ -74,42 +74,32 @@ def select_window(values):
 
 
 @functools.lru_cache(maxsize=1)
-def _numbered_blocks(first, rows, tail):
-    """One format string per block of _BLOCK_ROWS rows for the row numbers
-    first .. first + rows - 1, each number followed by `tail`: ("1,%.17g\\n"
-    "2,%.17g\\n" ...) for tail ",%.17g\\n". One entry, so the traces of one
-    run share it and a new length or tail replaces it."""
+def _numbered_blocks(rows, tail):
+    """One format string per block of _BLOCK_ROWS row numbers of the range
+    `rows`, each number followed by `tail`: ("1,%.17g\\n" "2,%.17g\\n" ...)
+    for tail ",%.17g\\n". One entry, so the traces of one run share it and
+    new row numbers or a new tail replace it."""
     row = "%d" + tail.replace("%", "%%")
-    stop = first + rows
-    return tuple(row * (min(start + _BLOCK_ROWS, stop) - start)
-                 % tuple(range(start, min(start + _BLOCK_ROWS, stop)))
-                 for start in range(first, stop, _BLOCK_ROWS))
+    blocks = (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+    return tuple(row * len(b) % tuple(b) for b in blocks)
 
 
-def write_rows(path, header, row_format, *columns):
-    """Write `header`, then `row_format` once per row of the equal-length
-    `columns`. Each block of _BLOCK_ROWS rows is formatted with a single `%`
-    and written in one call, so memory stays bounded by the block.
+def write_rows(path, header, rows, row_format, *columns):
+    """Write `header`, then one line per number of the range `rows`: the
+    number, then `row_format` applied to that row of the equal-length
+    `columns`.
 
-    A leading `range` column of step 1 under a leading "%d" is taken as row
-    numbers: they are baked into cached per-block format strings, so only
-    the other columns are formatted per row."""
-    lengths = {len(c) for c in columns}
+    The row numbers are baked into cached per-block format strings, so only
+    the columns are formatted per row. Each block of _BLOCK_ROWS rows is
+    formatted with a single `%` and written in one call, so memory stays
+    bounded by the block."""
+    lengths = {len(rows), *map(len, columns)}
     if len(lengths) > 1:
         raise LengthError(f"columns have unequal lengths {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
-    row_numbers = columns[0] if columns else None
-    templates = None
-    if (isinstance(row_numbers, range) and row_numbers.step == 1
-            and row_format.startswith("%d")):
-        templates = _numbered_blocks(row_numbers.start, n, row_format[2:])
-        columns = columns[1:]
+    templates = _numbered_blocks(rows, row_format)
     with open(path, "w") as fh:
         fh.write(header)
-        for i, start in enumerate(range(0, n, _BLOCK_ROWS)):
+        for start, template in zip(range(0, len(rows), _BLOCK_ROWS), templates):
             block = [np.asarray(c[start:start + _BLOCK_ROWS]).tolist() for c in columns]
             values = block[0] if len(block) == 1 else chain.from_iterable(zip(*block))
-            if templates is None:
-                fh.write(row_format * min(_BLOCK_ROWS, n - start) % tuple(values))
-            else:
-                fh.write(templates[i] % tuple(values))
+            fh.write(template % tuple(values))

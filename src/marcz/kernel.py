@@ -11,9 +11,8 @@ from .ingest import write_rows
 
 
 DEFAULT_WINDOW = 2 ** 14  # coefficient truncation window M of the simulations
-# l-block length of the kernel cross-sum convolution and far-field sums;
-# bounds their memory
-_FFT_BLOCK = 2 ** 15
+# l-block length of the far-field sums; bounds their memory
+_SERIES_BLOCK = 2 ** 15
 # the cross sums take |l| <= _NEAR_LAGS * lag_max by FFT, the rest by series
 _NEAR_LAGS = 32
 
@@ -62,34 +61,38 @@ def _fft_length(target):
     return best
 
 
-def _powers(gamma, m):
-    """|m|^(-gamma) for a float64 index array, with 0 where m == 0 (the
-    excluded terms l = d and l = 0 of the cross sum)."""
+def _fft_convolve_valid(xi, kern_spectrum, kern_size):
+    """np.convolve(row, kern, "valid") for each row of xi, via numpy.fft,
+    given kern_spectrum = rfft(kern, _fft_length(len(row))) and kern.size.
+
+    A circular convolution of length L >= len(row) wraps only into the first
+    len(kern) - 1 outputs, which valid mode discards.
+    """
+    n = xi.shape[-1]
+    size = _fft_length(n)
+    prod = np.fft.rfft(xi, size)
+    prod *= kern_spectrum
+    return np.fft.irfft(prod, size)[..., kern_size - 1:n]
+
+
+def _powers(gamma, lo, hi):
+    """|m|^(-gamma) for m = lo..hi, with 0 at m = 0 (the excluded terms
+    l = d and l = 0 of the cross sum)."""
+    m = np.abs(np.arange(lo, hi + 1, dtype=np.float64))
     with np.errstate(divide="ignore"):
-        t = np.abs(m) ** -gamma
+        t = m ** -gamma
     t[m == 0] = 0.0
     return t
 
 
 def _fft_cross_sums(gamma_left, gamma_right, lag_max, radius):
-    """Sum over l in [-radius, radius] of A(d-l) * B(l) for d = 2..lag_max,
-    with A(m) = |m|^(-gamma_left), B(l) = |l|^(-gamma_right), A(0) = B(0) = 0.
-
-    For all lags at once this is the valid part of one linear convolution.
-    l runs in blocks of _FFT_BLOCK; each block adds rfft(A segment) *
-    rfft(B block) to one spectrum, and one irfft gives every lag. A length
-    >= the A segment wraps only into outputs that valid mode discards.
-    """
-    block = min(_FFT_BLOCK, 2 * radius + 1)
-    width = block + lag_max - 2  # A over m = d - l for the block's l and all d
-    size = _fft_length(width)
-    spec = np.zeros(size // 2 + 1, dtype=np.complex128)
-    for l0 in range(-radius, radius + 1, block):
-        m = np.arange(3 - l0 - block, lag_max + 1 - l0, dtype=np.float64)
-        l = np.arange(l0, min(l0 + block, radius + 1), dtype=np.float64)
-        a = np.fft.rfft(_powers(gamma_left, m), size)
-        spec += a * np.fft.rfft(_powers(gamma_right, l), size)  # pads a short last block
-    return np.fft.irfft(spec, size)[block - 1:width]
+    """The sums of _cross_sums for all lags at once: the valid part of the
+    linear convolution of A over m = 2-radius..lag_max+radius with B over
+    l = -radius..radius, copied so that the transform's buffer is freed."""
+    b = np.fft.rfft(_powers(gamma_right, -radius, radius),
+                    _fft_length(lag_max + 2 * radius - 1))
+    a = _powers(gamma_left, 2 - radius, lag_max + radius)
+    return _fft_convolve_valid(a, b, 2 * radius + 1).copy()
 
 
 def _far_series(gamma_left, gamma_right, lag_max, near, radius):
@@ -112,8 +115,8 @@ def _far_series(gamma_left, gamma_right, lag_max, near, radius):
             break
         coefs.append(2.0 * c)
     z = np.zeros(len(coefs))
-    for l0 in range(near + 1, radius + 1, _FFT_BLOCK):
-        l = np.arange(l0, min(l0 + _FFT_BLOCK, radius + 1), dtype=np.float64)
+    for l0 in range(near + 1, radius + 1, _SERIES_BLOCK):
+        l = np.arange(l0, min(l0 + _SERIES_BLOCK, radius + 1), dtype=np.float64)
         t = l ** -(gamma_left + gamma_right)
         inv_sq = 1.0 / (l * l)
         for k in range(len(coefs)):
@@ -131,7 +134,7 @@ def _cross_sums(gamma_left, gamma_right, lag_max, radius):
     """Sum over l in [-radius, radius] of A(d-l) * B(l) for d = 2..lag_max,
     with A(m) = |m|^(-gamma_left), B(l) = |l|^(-gamma_right), A(0) = B(0) = 0.
 
-    |l| <= _NEAR_LAGS * lag_max runs through the blocked FFT and the rest,
+    |l| <= _NEAR_LAGS * lag_max runs through one FFT convolution and the rest,
     where the summand is smooth in d/l, through the even series in d.
     """
     near = min(_NEAR_LAGS * lag_max, radius)
@@ -160,8 +163,8 @@ class BoundReport:
         return float(np.max(self.ratios) / np.min(self.ratios))
 
     def to_tsv(self, path):
-        write_rows(path, "lag\tsum\tbound\tratio\n", "%d\t%.12g\t%.12g\t%.12g\n",
-                   self.lags, self.sums, self.bounds, self.ratios)
+        write_rows(path, "lag\tsum\tbound\tratio\n", self.lags, "\t%.12g\t%.12g\t%.12g\n",
+                   self.sums, self.bounds, self.ratios)
 
 
 def _lemma_bound(gamma, d):

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, SizeError
 from .ingest import PAPER_LENGTH, write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
-from .kernel import DEFAULT_WINDOW, _fft_length, coefficient_array
+from .kernel import DEFAULT_WINDOW, _fft_convolve_valid, _fft_length, coefficient_array
 
 TENSOR_ENTRY_CAP = 10 ** 6
 
@@ -84,20 +84,6 @@ def _kernel_spectrum(spec, half_width, size):
     return out
 
 
-def _fft_convolve_valid(xi, kern_spectrum, kern_size):
-    """np.convolve(row, kern, "valid") for each row of xi, via numpy.fft,
-    given kern_spectrum = rfft(kern, _fft_length(len(row))) and kern.size.
-
-    A circular convolution of length L >= len(row) wraps only into the first
-    len(kern) - 1 outputs, which valid mode discards.
-    """
-    n = xi.shape[-1]
-    size = _fft_length(n)
-    prod = np.fft.rfft(xi, size)
-    prod *= kern_spectrum
-    return np.fft.irfft(prod, size)[..., kern_size - 1:n]
-
-
 def _component_paths(config, r, seed, rows=1, method="fft"):
     """rows x n paths of component r: rows * (n + 2M) draws of stream 0 if
     shared else r (indices 1-M .. n+M per row), convolved with config.coeffs[r]."""
@@ -135,8 +121,8 @@ def simulate_paths(config, seed, method="fft"):
 def ensemble_to_tsv(ensemble, path):
     s, n = ensemble.x.shape
     header = "k\t" + "".join(f"x_{r + 1}\t" for r in range(s)) + "d\n"
-    write_rows(path, header, "%d" + "\t%.17g" * (s + 1) + "\n",
-               range(1, n + 1), *ensemble.x, ensemble.d)
+    write_rows(path, header, range(1, n + 1), "\t%.17g" * (s + 1) + "\n",
+               *ensemble.x, ensemble.d)
 
 
 def ensemble_to_binary(ensemble, bin_path, sidecar_path):

@@ -11,44 +11,28 @@ from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
 _EQ_TOL = 1e-12
 
 
-def _inv_or_inf(denom):
-    return math.inf if denom <= 0 else 1.0 / denom
-
-
-def _bound(s, sigmas, alpha0, relaxed):
+def _bound(s, sigma, alpha0):
     """The rate bound, without domain checks: the largest p for which
-    n^(-1/p) sum(d_k - d) -> 0 for s factors with decay exponents sigmas and
+    n^(-1/p) sum(d_k - d) -> 0 for s factors with decay exponent sigma and
     innovation tail index alpha0 (math.inf for light tails)."""
-    if relaxed:
-        best_pair = max(sigmas[i] + sigmas[j]
-                        for i in range(s) for j in range(i + 1, s))
-        return min(2.0, alpha0, _inv_or_inf(2.0 - best_pair))
     if s == 1:
-        return 2.0 / (3.0 - 2.0 * sigmas[0])
-    if s == 2:
-        return min(2.0, alpha0, _inv_or_inf(2.0 - (sigmas[0] + sigmas[1])))
-    return min(alpha0, 2.0 / (3.0 - 2.0 * min(sigmas)))
+        return 2.0 / (3.0 - 2.0 * sigma)
+    if s == 2:  # a nonpositive denominator counts as +inf
+        denom = 2.0 - 2.0 * sigma
+        return min(2.0, alpha0, 1.0 / denom if denom > 0 else math.inf)
+    return min(alpha0, 2.0 / (3.0 - 2.0 * sigma))
 
 
-def rate_bound(s, sigma, alpha0, relaxed=False):
-    """Largest admissible p for a product of s factors. sigma is one decay
-    exponent shared by every factor or one per factor; alpha0=math.inf is
-    the light-tailed case."""
+def rate_bound(s, sigma, alpha0):
+    """Largest admissible p for a product of s factors with decay exponent
+    sigma; alpha0=math.inf is the light-tailed case."""
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
-    try:
-        sigmas = tuple(sigma)
-    except TypeError:  # a scalar, a 0-d array included
-        sigmas = (sigma,) * s
-    if len(sigmas) != s:
-        raise ConfigurationError(f"need one sigma or {s} sigma values, got {len(sigmas)}")
-    if not all(0.5 < sg <= 1.0 for sg in sigmas):
+    if not 0.5 < sigma <= 1.0:
         raise DomainError(f"sigma must lie in (0.5, 1.0], got {sigma}")
     if not alpha0 > 1:
         raise DomainError(f"alpha0 must exceed 1, got {alpha0}")
-    if relaxed and s % 2 != 0:
-        raise ConfigurationError("relaxed bound requires even s")
-    return _bound(s, sigmas, alpha0, relaxed)
+    return _bound(s, sigma, alpha0)
 
 
 def predict_table(sigma, alpha1, s_list=DEFAULT_S_LIST,
@@ -63,7 +47,7 @@ def predict_table(sigma, alpha1, s_list=DEFAULT_S_LIST,
                          exponent_list=tuple(exponent_list))
     for s in s_list:
         alpha_s = alpha1 / s
-        bound = _bound(s, (sig,) * s, alpha_s, False)
+        bound = _bound(s, sig, alpha_s)
         if alpha_s <= 1:
             bound = min(bound, alpha_s)  # tail index at or below 1: never converges
         for e in exponent_list:
@@ -158,7 +142,7 @@ def estimate_parameters(table):
     for s, k in counts.items():
         # part of the rate bound already fixed by sigma_hat, which may lie
         # at or below 0.5, outside rate_bound's domain
-        explained = _bound(s, (sigma_hat,) * s, math.inf, False)
+        explained = _bound(s, sigma_hat, math.inf)
         if k == len(exps):  # all D
             p_ub = 1.0 / exps[-1]
             if explained > p_ub + _EQ_TOL:

@@ -73,7 +73,7 @@ class MarcTrace:
     f: np.ndarray
 
     def to_csv(self, path):
-        write_rows(path, "k,f\n", "%d,%.17g\n", range(1, self.f.size + 1), self.f)
+        write_rows(path, "k,f\n", range(1, self.f.size + 1), ",%.17g\n", self.f)
 
 
 def _finite_series(x):
@@ -144,9 +144,10 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
         outcome = "Converges"
     else:
         outcome = "Diverges"
+    # Python float division: a subnormal divisor gives inf with no overflow warning
     ratios = (
-        mean_whole / mean_half if mean_half != 0 else float("inf"),
-        mean_half / mean_quarter if mean_quarter != 0 else float("inf"),
+        float(mean_whole) / float(mean_half) if mean_half != 0 else float("inf"),
+        float(mean_half) / float(mean_quarter) if mean_quarter != 0 else float("inf"),
     )
     return Verdict(outcome=outcome, mean_whole=mean_whole, mean_half=mean_half,
                    mean_quarter=mean_quarter, ratios=ratios)

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .ingest import write_rows
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
 from .linproc import DEFAULT_WINDOW, ProcessConfig, simulate_paths, simulate_tensor_paths
@@ -40,10 +39,11 @@ class SuiteResult:
         return all(r.passed for r in self.rows)
 
     def to_tsv(self, path):
-        rows = [(r.name, r.value, r.limit, r.comparison, "pass" if r.passed else "FAIL")
-                for r in self.rows]
-        write_rows(path, "check\tvalue\tlimit\tcomparison\tpassed\n",
-                   "%s\t%.12g\t%.12g\t%s\t%s\n", *zip(*rows))
+        with open(path, "w") as fh:
+            fh.write("check\tvalue\tlimit\tcomparison\tpassed\n")
+            for r in self.rows:
+                fh.write("%s\t%.12g\t%.12g\t%s\t%s\n" % (
+                    r.name, r.value, r.limit, r.comparison, "pass" if r.passed else "FAIL"))
 
 
 def kernel_suite(radius=10 ** 6, lag_max=1000, gammas=(0.6, 0.75, 1.0, 1.5),

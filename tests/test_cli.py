@@ -74,24 +74,35 @@ class TestSimulateCmd:
         assert sorted(p.name for p in out.iterdir()) == [
             "ensemble.bin", "ensemble.json", "manifest.json"]
 
-    @pytest.mark.parametrize("text,missing", [
+    @pytest.mark.parametrize("text,names", [
         ("[1, 2]", None),
         ('{"sigma": 0.8, "n": 256, "window": 512, "innovation": "gaussian"}', None),
         ('{"sigma": "abc", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
          None),
         ('{"sigma": 0.8, "n": "abc", "window": 512, "innovation": {"family": "gaussian"}}',
-         None),
-        ('{"s": "abc", "sigma": 0.8, "n": 256, "innovation": {"family": "gaussian"}}', None),
+         "key 'n'"),
+        ('{"s": "abc", "sigma": 0.8, "n": 256, "innovation": {"family": "gaussian"}}',
+         "key 's'"),
         ('{"sigma": 0.8, "n": 256, "window": "abc", "innovation": {"family": "gaussian"}}',
-         None),
-        ('{"n": 100, "innovation": {"family": "gaussian"}}', "sigma"),
-        ('{"sigma": 0.8, "innovation": {"family": "gaussian"}}', "n"),
-        ('{"sigma": 0.8, "n": 100, "innovation": {"scale": 1.0}}', "family"),
+         "key 'window'"),
+        ('{"n": 100, "innovation": {"family": "gaussian"}}', "missing key 'sigma'"),
+        ('{"sigma": 0.8, "innovation": {"family": "gaussian"}}', "missing key 'n'"),
+        ('{"sigma": 0.8, "n": 100, "innovation": {"scale": 1.0}}', "missing key 'family'"),
         ('{"s": 1,', None),
+        ('{"s": 2.7, "sigma": 0.8, "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 's'"),
+        ('{"s": true, "sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 's'"),
+        ('{"sigma": 0.8, "n": 5000.9, "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 'n'"),
+        ('{"sigma": 0.8, "n": "5000", "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 'n'"),
+        ('{"sigma": 0.8, "n": 256, "window": 64.5, "innovation": {"family": "gaussian"}}',
+         "key 'window'"),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
-            "json_syntax"])
-    def test_malformed_config_exit_code(self, tmp_path, capsys, text, missing):
+            "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float"])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
         out = tmp_path / "run"
@@ -99,8 +110,8 @@ class TestSimulateCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: {path}: ")
-        if missing:
-            assert f"missing key '{missing}'" in captured.err
+        if names:
+            assert names in captured.err
         assert not (out / "ensemble.bin").exists()
 
 
@@ -434,7 +445,7 @@ def test_table_commands_skip_numpy(fixtures_dir, argv):
 @pytest.mark.parametrize("code", [
     "import marcz; from marcz.statistic import verdict_table; "
     "assert marcz.verdict_table is verdict_table",
-    "from marcz.kernel import _FFT_BLOCK; assert _FFT_BLOCK > 0",
+    "from marcz.kernel import _SERIES_BLOCK; assert _SERIES_BLOCK > 0",
     "import marcz; from marcz import *; "
     "assert all(globals()[n] is getattr(marcz, n) for n in marcz.__all__); "
     "assert simulate_paths.__module__ == 'marcz.linproc'",

@@ -143,9 +143,9 @@ def test_row_templates_follow_length(tmp_path):
 def test_unequal_columns_raise(tmp_path):
     path = tmp_path / "out.txt"
     with pytest.raises(LengthError):
-        write_rows(path, "k,f\n", "%d,%.17g\n", range(1, 4), np.zeros(2))
+        write_rows(path, "k,f\n", range(1, 4), ",%.17g\n", np.zeros(2))
     with pytest.raises(LengthError):
-        write_rows(path, "a\tb\n", "%.17g\t%.17g\n", np.zeros(3), np.zeros(4))
+        write_rows(path, "k\ta\tb\n", range(1, 4), "\t%.17g\t%.17g\n", np.zeros(3), np.zeros(4))
     assert not path.exists()
 
 
@@ -163,5 +163,5 @@ def test_trace_write_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    templates = sum(map(sys.getsizeof, _numbered_blocks(1, n, ",%.17g\n")))
+    templates = sum(map(sys.getsizeof, _numbered_blocks(range(1, n + 1), ",%.17g\n")))
     assert peak - templates < 128 * _BLOCK_ROWS < path.stat().st_size / 8

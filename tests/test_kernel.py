@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from marcz import CoefficientSpec, coefficient_array, verify_kernel_bound
 from marcz.errors import ConfigurationError, DomainError, OutOfWindowError
-from marcz.kernel import _FFT_BLOCK, _NEAR_LAGS, _far_series, _lemma_bound
+from marcz.kernel import _NEAR_LAGS, _SERIES_BLOCK, _far_series, _lemma_bound
 from marcz.verify import kernel_suite
 
 
@@ -119,18 +119,18 @@ def _bound_case(draw):
     gamma = draw(st.floats(min_value=0.5, max_value=1.0 if mixed else 2.0,
                            exclude_min=True, exclude_max=mixed))
     lag_max = draw(st.integers(min_value=2, max_value=300))
-    radius = draw(st.integers(min_value=2 * lag_max, max_value=3 * _FFT_BLOCK))
+    radius = draw(st.integers(min_value=2 * lag_max, max_value=3 * _SERIES_BLOCK))
     return gamma, mixed, lag_max, radius
 
 
 class TestCrossSumsByFft:
     @given(_bound_case())
-    @example((2.0, False, 300, 1000))  # one block, shorter than _FFT_BLOCK
-    @example((0.75, True, 300, _FFT_BLOCK + 5))  # 2R+1 not a multiple of the block
-    @example((1.5, False, 2, _FFT_BLOCK))  # last block holds l = R alone
+    @example((2.0, False, 300, 1000))  # FFT alone, well inside the seam
+    @example((0.75, True, 300, _SERIES_BLOCK + 5))  # a far field of one partial block
+    @example((1.5, False, 2, _SERIES_BLOCK))  # the shortest transform, then one block
     @example((0.75, False, 300, _NEAR_LAGS * 300))  # FFT alone, up to the seam
     @example((0.75, True, 300, _NEAR_LAGS * 300 + 1))  # a far field of one l
-    @example((2.0, False, 300, 3 * _FFT_BLOCK))  # the most series terms
+    @example((2.0, False, 300, 3 * _SERIES_BLOCK))  # the most series terms
     @settings(max_examples=50, deadline=None)
     def test_matches_direct_dots(self, case):
         gamma, mixed, lag_max, radius = case
@@ -163,7 +163,7 @@ class TestCrossSumsByFft:
 
     def test_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; the two power tables of
-        # the direct form take 16 MB at this radius, one unblocked FFT more
+        # the direct form take 16 MB at this radius, one FFT over all of it more
         tracemalloc.start()
         try:
             verify_kernel_bound(0.6, 1000, 10 ** 6)

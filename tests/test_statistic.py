@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec,
@@ -188,6 +188,9 @@ class TestVerdictRule:
 
     @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=4,
                     max_size=200))
+    # a subnormal tail mean as the divisor of a ratio
+    @example([1.0, 2.225073858507e-311, 0.0, 0.0])
+    @example([0.0, 1.0, 2.225073858507e-311, 0.0])
     @settings(max_examples=50, deadline=None)
     def test_means_are_tail_averages(self, values):
         tr = marcinkiewicz_trace(np.zeros(len(values)), 1, 0.5)
