@@ -46,8 +46,15 @@ class TestRateBound:
             assert rate_bound(s, 0.8, 1.5) <= rate_bound(s, 0.8, 3.0)
 
     def test_cap_at_two(self):
-        assert rate_bound(1, 1.0, math.inf) == 2.0
         assert rate_bound(2, 1.0, math.inf) == 2.0
+
+
+class TestGeneralRateBound:
+    """rate_bound at the sigma = 1 closure of the decay range."""
+
+    def test_s1_closure(self):
+        assert rate_bound(1, 1.0, math.inf) == 2.0
+        assert rate_bound(1, 1.0 - 1e-9, math.inf) == pytest.approx(2.0)
 
 
 class TestNumpyFree:
