@@ -43,15 +43,6 @@ def _parse_int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
-def _int_key(raw, key, default=None):
-    """raw[key], or `default` when given and the key is absent, which must be
-    a JSON integer: a float, a string or a boolean is rejected."""
-    value = raw[key] if default is None else raw.get(key, default)
-    if type(value) is not int:
-        raise ConfigurationError(f"key {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _load_process_config(path):
     try:
         with open(path) as fh:
@@ -60,22 +51,25 @@ def _load_process_config(path):
         raise ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
+    number = innovations.config_number
     try:
-        s = _int_key(raw, "s", 1)
-        sigmas = raw.get("sigmas") or [raw["sigma"]] * s
-        window = _int_key(raw, "window", linproc.DEFAULT_WINDOW)
-        coeffs = tuple(
-            kernel.CoefficientSpec(sigma=float(sg), scale=float(raw.get("scale", 1.0)),
-                                   center_value=float(raw.get("center_value", 1.0)),
-                                   window=window)
-            for sg in sigmas)
+        s = number(raw.get("s", 1), "s", int)
+        sigmas = raw["sigmas"] if "sigmas" in raw else [number(raw["sigma"], "sigma")] * s
+        if "sigmas" in raw and (type(sigmas) is not list or len(sigmas) != s):
+            raise ConfigurationError(f"key 'sigmas' must list s = {s} numbers, got {sigmas!r}")
+        scale = number(raw.get("scale", 1.0), "scale")
+        center_value = number(raw.get("center_value", 1.0), "center_value")
+        window = number(raw.get("window", linproc.DEFAULT_WINDOW), "window", int)
+        coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigmas"), scale=scale,
+                                              center_value=center_value, window=window)
+                       for sg in sigmas)
         return linproc.ProcessConfig(
             s=s, coeffs=coeffs, innov=innovations.spec_from_config(raw["innovation"]),
-            sharing=raw.get("sharing", "shared"), length=_int_key(raw, "n"),
+            sharing=raw.get("sharing", "shared"), length=number(raw["n"], "n", int),
             window=window)
     except KeyError as exc:
         raise ConfigurationError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
 
 
@@ -104,8 +98,7 @@ def _analysis_input(args):
                 raise EmptyDataError(f"{args.returns_csv}: no data rows") from None
             except ValueError as exc:
                 raise SchemaError(f"{args.returns_csv}: {exc}") from None
-        label = args.label or os.path.basename(args.returns_csv)
-        return values, label
+        return values, args.label or os.path.basename(args.returns_csv)
     series = ingest.load_prices(args.input, column_name=args.column, label=args.label)
     returns = ingest.log_returns(series)
     if not args.full_series:
@@ -166,10 +159,8 @@ def _write_traces(jobs):
 def cmd_analyze(args):
     values, label = _analysis_input(args)
     os.makedirs(args.out, exist_ok=True)
-    cfg = statistic.RunningMeanConfig(epsilon=args.epsilon, rho=args.rho, start=args.start)
-    table = statistic.verdict_table(values, args.s_list, args.exponents, cfg,
-                                    label=label, proportional=args.proportional,
-                                    collect_traces=True)
+    table = statistic.verdict_table(values, args.s_list, args.exponents, label=label,
+                                    proportional=args.proportional, collect_traces=True)
     _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
                    for (s, e), tr in table.traces.items()])
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
@@ -204,9 +195,9 @@ def cmd_table_predict(args):
 
 def cmd_verify(args):
     if args.suite == "kernel":
-        result = verify.kernel_suite(radius=args.radius)
+        result = verify.kernel_suite()
     elif args.suite == "mslln":
-        result = verify.mslln_suite(seed=args.seed, reps=args.reps, n=args.length)
+        result = verify.mslln_suite(seed=args.seed)
     else:
         result = verify.tensor_suite(seed=args.seed)
     if args.out:
@@ -245,9 +236,6 @@ def build_parser():
                    help="skip the fixed 2601-point window selection")
     p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
     p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
-    p.add_argument("--epsilon", type=float, default=0.005)
-    p.add_argument("--rho", type=float, default=0.005)
-    p.add_argument("--start", type=int, default=601)
     p.add_argument("--proportional", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -267,10 +255,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run a numeric verification suite")
     p.add_argument("--suite", choices=("kernel", "mslln", "tensor"), required=True)
-    p.add_argument("--radius", type=int, default=10 ** 6)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--reps", type=int, default=32)
-    p.add_argument("--length", type=int, default=2 ** 16)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
     return parser
@@ -281,7 +266,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MarczError, OSError) as exc:
+    except (MarczError, OSError, FloatingPointError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -8,6 +8,7 @@ construction.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,20 @@ def sample(spec, count, seed, stream=0):
     return mag
 
 
+def config_number(value, key, kind=float):
+    """`value` of config key `key` as `kind`: a JSON integer for int, a finite
+    JSON integer or float for float. A boolean or a string is neither."""
+    if type(value) is int if kind is int else (
+            type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        return kind(value)
+    what = "an integer" if kind is int else "a finite number"
+    raise ConfigurationError(f"key {key!r} must be {what}, got {value!r}")
+
+
 def spec_from_config(cfg):
     """InnovationSpec from the flat `innovation` block of a config file."""
     return InnovationSpec(
         family=cfg["family"],
-        df_or_alpha=float(cfg.get("alpha", float("nan"))),
-        scale=float(cfg.get("scale", 1.0)),
+        df_or_alpha=config_number(cfg["alpha"], "alpha") if "alpha" in cfg else math.nan,
+        scale=config_number(cfg.get("scale", 1.0), "scale"),
     )

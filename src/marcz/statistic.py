@@ -153,6 +153,7 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
                    mean_quarter=mean_quarter, ratios=ratios)
 
 
+@np.errstate(over="raise")  # a trace beyond the float range has no verdict
 def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   cfg=RunningMeanConfig(), label="", proportional=False,
                   collect_traces=False):

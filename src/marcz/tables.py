@@ -44,6 +44,8 @@ class VerdictTable:
             raise ConfigurationError(
                 "grid needs distinct integer s >= 1 and distinct exponents in (0,1], "
                 f"got s {s_list} and exponents {exps}")
+        if {"\t", "\n", "\r"} & set(self.label):  # the TSV could not be read back
+            raise ConfigurationError(f"label {self.label!r} holds a tab or a line break")
 
     def outcome(self, s, e):
         return self.cells[(s, e)].letter

@@ -67,8 +67,8 @@ def _ratio_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
     series draw(rep_seed), per requested p."""
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
-    if n < compare_at:
-        raise ConfigurationError(f"n={n} is below compare_at={compare_at}")
+    if n <= compare_at:  # at n == compare_at every ratio is 1
+        raise ConfigurationError(f"n={n} must exceed compare_at={compare_at}")
     if not all(0.0 < 1.0 / p <= 1.0 for p in p_values):
         raise ConfigurationError(f"every p must be >= 1 and finite, got {p_values}")
     # f(k) = |sum_{j<=k} (|x_j| - mean_abs)| / k^(1/p), read at k = compare_at and n
@@ -107,14 +107,14 @@ def ht_ratio_medians(alpha=1.5, n=2 ** 16, reps=32, seed=0,
                           seed, p_values, compare_at)
 
 
-def mslln_suite(seed=1, reps=32, n=2 ** 16):
-    """Monte Carlo pattern checks: the normalized sums shrink inside the rate
-    bound and stay up outside it."""
+def mslln_suite(seed=1):
+    """Monte Carlo pattern checks over 32 replications at n = 2^16: the
+    normalized sums shrink inside the rate bound and stay up outside it."""
     result = SuiteResult(suite="mslln")
-    lrd = lrd_ratio_medians(seed=seed, reps=reps, n=n)
+    lrd = lrd_ratio_medians(seed=seed)
     result.check("lrd sigma=0.8 median ratio p=1.2", lrd[1.2], 0.5, "<")
     result.check("lrd sigma=0.8 median ratio p=1.8", lrd[1.8], 0.7, ">")
-    ht = ht_ratio_medians(seed=seed, reps=reps, n=n)
+    ht = ht_ratio_medians(seed=seed)
     result.check("ht alpha=1.5 ordering p=1.3 vs p=1.8", ht[1.3], ht[1.8], "<")
     result.check("ht alpha=1.5 median ratio p=1.3", ht[1.3], 1.0, "<")
     result.check("ht alpha=1.5 median ratio p=1.8", ht[1.8], 0.7, ">")

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import marcz
-from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
-                   rate_bound, predict_table, sample, simulate_paths,
-                   verdict_table)
+from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, load_prices,
+                   log_returns, rate_bound, predict_table, sample, select_window,
+                   simulate_paths, verdict_table)
 from marcz.cli import main
 
 
@@ -20,6 +20,17 @@ def _write_returns(path, n=2601, seed=0):
         fh.write("value\n")
         for v in x:
             fh.write(f"{v:.17g}\n")
+
+
+def _write_prices(path, n=2801, seed=0):
+    """A Yahoo-style price CSV whose Close and Adj Close columns are equal."""
+    rng = np.random.default_rng(seed)
+    prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(n)))
+    volume = rng.integers(10 ** 6, 10 ** 8, n)
+    with open(path, "w") as fh:
+        fh.write("Date,Open,High,Low,Close,Adj Close,Volume\n")
+        for i, (p, v) in enumerate(zip(prices, volume)):
+            fh.write(f"2010-01-{i % 28 + 1:02d},{p:.6f},{p:.6f},{p:.6f},{p:.6f},{p:.6f},{v}\n")
 
 
 def _run_python(*args):
@@ -99,9 +110,34 @@ class TestSimulateCmd:
          "key 'n'"),
         ('{"sigma": 0.8, "n": 256, "window": 64.5, "innovation": {"family": "gaussian"}}',
          "key 'window'"),
+        ('{"sigma": true, "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 'sigma'"),
+        ('{"sigma": 0.8, "scale": true, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'scale'"),
+        ('{"sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "student_t", "alpha": true}}', "key 'alpha'"),
+        ('{"sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian", "scale": "2"}}', "key 'scale'"),
+        ('{"sigma": 0.8, "sigmas": [], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
+        ('{"sigmas": "1", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 'sigmas'"),
+        ('{"s": 2, "sigmas": [0.8, true], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
+        ('{"sigma": 0.8, "center_value": "1", "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'center_value'"),
+        ('{"sigma": 0.8, "scale": NaN, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'scale'"),
+        ('{"sigma": 1' + "0" * 400 + ', "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigma'"),
+        ('{"s": 1' + "0" * 400 + ', "sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', None),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
-            "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float"])
+            "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
+            "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
+            "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
+            "scale_nan", "sigma_huge_int", "s_huge_int"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -165,15 +201,39 @@ class TestAnalyzeCmd:
 
     def test_price_csv_pipeline(self, tmp_path):
         # enough synthetic prices for the fixed 2601-point window
-        rng = np.random.default_rng(0)
-        prices = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_normal(2750)))
         p = tmp_path / "prices.csv"
-        with open(p, "w") as fh:
-            fh.write("Date,Adj Close\n")
-            for i, v in enumerate(prices):
-                fh.write(f"2010-01-{i % 28 + 1:02d},{v:.6f}\n")
+        _write_prices(p, n=2750)
         rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "out")])
         assert rc == 0
+
+    @pytest.mark.parametrize("column", ["Close", "Volume"])
+    def test_price_column(self, tmp_path, capsys, column):
+        p = tmp_path / "prices.csv"
+        _write_prices(p)
+        default, chosen = tmp_path / "default", tmp_path / "chosen"
+        assert main(["analyze", "--input", str(p), "--out", str(default)]) == 0
+        assert main(["analyze", "--input", str(p), "--column", column,
+                     "--out", str(chosen)]) == 0
+        capsys.readouterr()
+        want = verdict_table(select_window(log_returns(load_prices(p, column))),
+                             label=str(p))
+        assert (chosen / "verdicts.tsv").read_text() == want.to_tsv()
+        # Close equals Adj Close in this file; Volume is another series
+        same = (chosen / "verdicts.tsv").read_bytes() == (default / "verdicts.tsv").read_bytes()
+        assert same == (column == "Close")
+        assert json.loads((chosen / "manifest.json").read_text())["args"]["column"] == column
+
+    def test_full_series(self, tmp_path, capsys):
+        p = tmp_path / "prices.csv"
+        _write_prices(p)
+        returns = log_returns(load_prices(p))
+        assert len(returns) == 2801
+        for flags, values in (([], select_window(returns)), (["--full-series"], returns)):
+            out = tmp_path / "out"
+            assert main(["analyze", "--input", str(p), *flags, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == verdict_table(values, label=str(p)).to_tsv()
+            trace = (out / "trace_s1_e0.5.csv").read_text().splitlines()
+            assert len(trace) == 1 + len(values)
 
     def test_nan_row_exit_code(self, tmp_path):
         rets = tmp_path / "returns.csv"
@@ -187,7 +247,7 @@ class TestAnalyzeCmd:
         assert not (out / "verdicts.tsv").exists()
 
     @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
-                                     "constant"])
+                                     "constant", "overflow"])
     def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
@@ -198,6 +258,8 @@ class TestAnalyzeCmd:
             lines[1:] = [f"{v},{v}" for v in lines[1:]]
         elif bad == "header_only":
             lines[1:] = []
+        elif bad == "overflow":  # finite, but its square is not
+            lines[1000] = "1e200"
         else:
             lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")
@@ -221,6 +283,20 @@ class TestAnalyzeCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert not (out / "verdicts.tsv").exists()
+
+
+    @pytest.mark.parametrize("label", ["a\tb", "a\nb", "a\rb"], ids=["tab", "lf", "cr"])
+    def test_unreadable_label_exit_code(self, tmp_path, capsys, label):
+        # verdicts.tsv could not be read back by estimate
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        rc = main(["analyze", "--returns-csv", str(rets), "--label", label, "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: label {label!r} holds a tab or a line break\n"
         assert not (out / "verdicts.tsv").exists()
 
 
@@ -362,19 +438,16 @@ class TestVerifyCmd:
         assert (tmp_path / "v" / "tensor_checks.tsv").exists()
         assert "pass" in capsys.readouterr().out
 
-    def test_kernel_suite_small_radius(self, tmp_path, capsys):
+    def test_kernel_suite_full_radius(self, tmp_path, capsys):
         out = tmp_path / "v"
-        rc = main(["verify", "--suite", "kernel", "--radius", "10000", "--out", str(out)])
-        assert rc == 0
+        assert main(["verify", "--suite", "kernel", "--out", str(out)]) == 0
         names = sorted(p.name for p in out.glob("kernel_*.tsv"))
         assert names == ["kernel_checks.tsv", "kernel_gamma_0.6.tsv",
                          "kernel_gamma_0.75.tsv", "kernel_gamma_1.5.tsv",
                          "kernel_gamma_1.tsv", "kernel_mixed_gamma_0.75.tsv"]
         for name in names[1:]:
             assert len((out / name).read_text().splitlines()) == 1 + 999, name
-        capsys.readouterr()
-        # the full radius prints the spreads of the direct dot products
-        assert main(["verify", "--suite", "kernel"]) == 0
+        # the spreads of the direct dot products
         assert capsys.readouterr().out == (
             "pass\tspread gamma=0.6\t1.34657 < 10\n"
             "pass\tspread gamma=0.75\t2.43432 < 10\n"
@@ -382,18 +455,25 @@ class TestVerifyCmd:
             "pass\tspread gamma=1.5\t2.31338 < 10\n"
             "pass\tspread mixed gamma=0.75\t1.47086 < 10\n")
 
-    @pytest.mark.parametrize("argv", [
-        ["--suite", "mslln", "--reps", "0"],
-        ["--suite", "mslln", "--length", "100"],
-        ["--suite", "kernel", "--radius", "10"],
-    ])
-    def test_bad_input_exit_code(self, tmp_path, capsys, argv):
-        out = tmp_path / "v"
-        assert main(["verify", *argv, "--out", str(out)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error:")
-        assert not out.exists()
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--returns-csv", "{path}", "--epsilon", "0.01"],
+    ["analyze", "--returns-csv", "{path}", "--rho", "0.01"],
+    ["analyze", "--returns-csv", "{path}", "--start", "700"],
+    ["verify", "--suite", "kernel", "--radius", "5000"],
+    ["verify", "--suite", "mslln", "--reps", "2"],
+    ["verify", "--suite", "mslln", "--length", "8192"],
+], ids=["epsilon", "rho", "start", "radius", "reps", "length"])
+def test_procedure_constants_are_not_flags(tmp_path, capsys, argv):
+    # the verdict rule and the suites run the published constants only
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=tmp_path / "returns.csv") for a in argv] + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

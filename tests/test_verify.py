@@ -33,7 +33,7 @@ def _lrd_draw(n):
 
 
 @pytest.mark.parametrize("draw,mean_abs", [(_pareto_draw, 3.0), (_lrd_draw, 2.5)])
-@pytest.mark.parametrize("n,compare_at", [(2 ** 13, 2 ** 10), (2 ** 10, 2 ** 10)])
+@pytest.mark.parametrize("n,compare_at", [(2 ** 13, 2 ** 10), (2 ** 10 + 1, 2 ** 10)])
 def test_ratio_medians_match_full_traces(draw, mean_abs, n, compare_at):
     args = (draw(n), mean_abs, n, 5, 3, (1.0, 1.2, 1.3, 1.8, 2.0), compare_at)
     got, want = _ratio_medians(*args), _full_trace_medians(*args)
@@ -41,7 +41,12 @@ def test_ratio_medians_match_full_traces(draw, mean_abs, n, compare_at):
     assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
 
 
-@pytest.mark.parametrize("p", [0.9, -1.5, float("inf"), float("nan")])
-def test_ratio_medians_reject_bad_p(p):
+@pytest.mark.parametrize("p,reps,n", [
+    (0.9, 1, 64), (-1.5, 1, 64), (float("inf"), 1, 64), (float("nan"), 1, 64),
+    (1.8, 0, 64), (1.8, 1, 16), (1.8, 1, 32),
+], ids=["0.9", "-1.5", "inf", "nan", "reps_0", "n_below_compare_at", "n_at_compare_at"])
+def test_ratio_medians_reject_bad_p(p, reps, n):
+    # a p outside [1, inf), no replication, or no point past compare_at = 32,
+    # where every ratio f(n)/f(compare_at) would be 1
     with pytest.raises(ConfigurationError):
-        _ratio_medians(_pareto_draw(64), 3.0, 64, 1, 0, (1.2, p), 32)
+        _ratio_medians(_pareto_draw(64), 3.0, n, reps, 0, (1.2, p), 32)
