@@ -14,7 +14,7 @@ import sys
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, EmptyDataError, LengthError,
-                     MarczError, OutOfWindowError, SchemaError, SizeError)
+                     MarczError, SchemaError, SizeError)
 from .tables import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable,
                      tables_from_tsv)
 from .rates import (EstimateValue, ParamEstimate, estimate_parameters,
@@ -65,7 +65,7 @@ def __dir__():
 
 __all__ = [
     "ConfigurationError", "DomainError", "EmptyDataError", "LengthError",
-    "MarczError", "OutOfWindowError", "SchemaError", "SizeError",
+    "MarczError", "SchemaError", "SizeError",
     "DEFAULT_EXPONENTS", "DEFAULT_S_LIST", "Verdict", "VerdictTable", "tables_from_tsv",
     "EstimateValue", "ParamEstimate", "estimate_parameters", "predict_table",
     "rate_bound", *_ORIGIN,

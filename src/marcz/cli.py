@@ -85,20 +85,30 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _analysis_input(args):
-    if args.returns_csv:
-        import numpy as np
+def _read_returns(path):
+    """The values of a one-column returns CSV below its header line."""
+    import numpy as np
 
-        with warnings.catch_warnings():
+    try:
+        with open(path) as fh, warnings.catch_warnings():
             # numpy warns, rather than fails, on a file without data rows
             warnings.simplefilter("error", UserWarning)
-            try:
-                values = np.loadtxt(args.returns_csv, skiprows=1, delimiter=",", ndmin=1)
-            except UserWarning:
-                raise EmptyDataError(f"{args.returns_csv}: no data rows") from None
-            except ValueError as exc:
-                raise SchemaError(f"{args.returns_csv}: {exc}") from None
-        return values, args.label or os.path.basename(args.returns_csv)
+            header = fh.readline()
+            values = np.loadtxt(path, skiprows=1, delimiter=",", ndmin=1)
+    except UserWarning:
+        raise EmptyDataError(f"{path}: no data rows") from None
+    except ValueError as exc:  # a cell that is not a number, or text that is not UTF-8
+        raise SchemaError(f"{path}: {exc}") from None
+    try:
+        float(header)
+    except ValueError:
+        return values
+    raise SchemaError(f"{path}: first line {header.strip()!r} is a number, not a header")
+
+
+def _analysis_input(args):
+    if args.returns_csv:
+        return _read_returns(args.returns_csv), args.label or os.path.basename(args.returns_csv)
     series = ingest.load_prices(args.input, column_name=args.column, label=args.label)
     returns = ingest.log_returns(series)
     if not args.full_series:
@@ -230,10 +240,10 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--input", help="Yahoo-format price CSV")
     src.add_argument("--returns-csv", help="one-column CSV of returns")
-    p.add_argument("--column", default="Adj Close")
+    p.add_argument("--column", help="price column of --input (default: Adj Close)")
     p.add_argument("--label")
     p.add_argument("--full-series", action="store_true",
-                   help="skip the fixed 2601-point window selection")
+                   help="skip the fixed 2601-point window selection of --input")
     p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
     p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
     p.add_argument("--proportional", action="store_true")
@@ -264,6 +274,13 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "analyze" and args.returns_csv:
+        for flag, on in (("--column", args.column is not None),
+                         ("--full-series", args.full_series)):
+            if on:
+                parser.error(f"argument {flag}: not allowed with argument --returns-csv")
+    elif args.command == "analyze" and args.column is None:
+        args.column = "Adj Close"  # manifest.json records the column read
     try:
         return args.func(args)
     except (MarczError, OSError, FloatingPointError) as exc:

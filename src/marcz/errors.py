@@ -13,10 +13,6 @@ class DomainError(MarczError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-class OutOfWindowError(DomainError):
-    """Coefficient index beyond the truncation window."""
-
-
 class SchemaError(MarczError, ValueError):
     """Input file does not have the expected columns."""
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, OutOfWindowError
+from .errors import ConfigurationError, DomainError
 from .ingest import write_rows
 
 
@@ -35,14 +35,21 @@ class CoefficientSpec:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
 
 
-def coefficient_array(spec, half_width=None):
-    """Dense coefficient vector for l = -M..M (M defaults to spec.window)."""
-    M = spec.window if half_width is None else half_width
-    if M > spec.window:
-        raise OutOfWindowError(f"half_width {M} exceeds window {spec.window}")
-    l = np.arange(-M, M + 1, dtype=np.float64)
+def _powers(gamma, lo, hi):
+    """|m|^(-gamma) for m = lo..hi, with 0 at m = 0: the excluded terms
+    l = d and l = 0 of the cross sum, and the slot of c_0 in coefficient_array."""
+    m = np.abs(np.arange(lo, hi + 1, dtype=np.float64))
     with np.errstate(divide="ignore"):
-        c = spec.scale * np.abs(l) ** -spec.sigma
+        t = m ** -gamma
+    t[m == 0] = 0.0
+    return t
+
+
+def coefficient_array(spec):
+    """Dense coefficient vector for l = -M..M, M = spec.window."""
+    M = spec.window
+    c = _powers(spec.sigma, -M, M)
+    c *= spec.scale
     c[M] = spec.center_value
     return c
 
@@ -73,16 +80,6 @@ def _fft_convolve_valid(xi, kern_spectrum, kern_size):
     prod = np.fft.rfft(xi, size)
     prod *= kern_spectrum
     return np.fft.irfft(prod, size)[..., kern_size - 1:n]
-
-
-def _powers(gamma, lo, hi):
-    """|m|^(-gamma) for m = lo..hi, with 0 at m = 0 (the excluded terms
-    l = d and l = 0 of the cross sum)."""
-    m = np.abs(np.arange(lo, hi + 1, dtype=np.float64))
-    with np.errstate(divide="ignore"):
-        t = m ** -gamma
-    t[m == 0] = 0.0
-    return t
 
 
 def _fft_cross_sums(gamma_left, gamma_right, lag_max, radius):

@@ -34,12 +34,10 @@ class ProcessConfig:
             raise ConfigurationError(f"unknown sharing mode {self.sharing!r}")
         if self.length < 1:
             raise ConfigurationError(f"length must be >= 1, got {self.length}")
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
         for c in self.coeffs:
-            if c.window < self.window:
-                raise ConfigurationError(
-                    "coefficient window smaller than the simulation window")
+            if c.window != self.window:
+                raise ConfigurationError(f"coefficient window {c.window} differs from "
+                                         f"the simulation window {self.window}")
 
     def moment_warnings(self):
         """Regularity check: the product rate bound needs E|xi|^(s v 2) finite."""
@@ -60,26 +58,24 @@ class PathEnsemble:
     warnings: list = field(default_factory=list)
 
 
-def truncation_error_bound(spec, M):
-    """L2 tail bound on the discarded coefficients per unit innovation
-    variance: scale^2 * 2 * M^(1-2*sigma) / (2*sigma - 1)."""
+def truncation_error_bound(spec):
+    """L2 tail bound on the coefficients beyond M = spec.window per unit
+    innovation variance: scale^2 * 2 * M^(1-2*sigma) / (2*sigma - 1)."""
     if spec.sigma <= 0.5:
         raise DomainError("series diverges for sigma <= 0.5")
-    if M < 1:
-        raise DomainError(f"M must be >= 1, got {M}")
-    return spec.scale ** 2 * 2.0 * M ** (1.0 - 2.0 * spec.sigma) / (
+    return spec.scale ** 2 * 2.0 * spec.window ** (1.0 - 2.0 * spec.sigma) / (
         2.0 * spec.sigma - 1.0)
 
 
 @functools.lru_cache(maxsize=1)
-def _kernel_spectrum(spec, half_width, size):
-    """Read-only rfft(coefficient_array(spec, half_width), size).
+def _kernel_spectrum(spec, size):
+    """Read-only rfft(coefficient_array(spec), size).
 
-    One entry: a Monte Carlo loop repeats the same (spec, window, length)
-    for consecutive reps, and each entry holds size/2 + 1 complex values
+    One entry: a Monte Carlo loop repeats the same (spec, length) for
+    consecutive reps, and each entry holds size/2 + 1 complex values
     (288 KB at n = 2601, window 2^14).
     """
-    out = np.fft.rfft(coefficient_array(spec, half_width), size)
+    out = np.fft.rfft(coefficient_array(spec), size)
     out.flags.writeable = False
     return out
 
@@ -92,10 +88,10 @@ def _component_paths(config, r, seed, rows=1, method="fft"):
     stream = 0 if config.sharing == "shared" else r
     xi = sample(config.innov, rows * count, seed, stream=stream).reshape(rows, count)
     if method == "fft":
-        spectrum = _kernel_spectrum(config.coeffs[r], M, _fft_length(count))
+        spectrum = _kernel_spectrum(config.coeffs[r], _fft_length(count))
         return _fft_convolve_valid(xi, spectrum, 2 * M + 1)
     if method == "direct":
-        kern = coefficient_array(config.coeffs[r], M)
+        kern = coefficient_array(config.coeffs[r])
         return np.stack([np.convolve(row, kern, "valid") for row in xi])
     raise ConfigurationError(f"unknown method {method!r}")
 
@@ -112,7 +108,7 @@ def simulate_paths(config, seed, method="fft"):
             continue
         first_row[spec] = r
         x[r] = _component_paths(config, r, seed, method=method)[0]
-    bound = max(truncation_error_bound(c, config.window) for c in config.coeffs)
+    bound = max(truncation_error_bound(c) for c in config.coeffs)
     return PathEnsemble(
         x=x, d=np.prod(x, axis=0), config=config, seed=seed,
         truncation_bound=bound, warnings=config.moment_warnings())

@@ -3,7 +3,7 @@ inversion recovering (sigma, alpha_1) from a verdict grid."""
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .errors import ConfigurationError, DomainError
 from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable
@@ -62,9 +62,6 @@ class EstimateValue:
     kind: str   # point | lower_bound | upper_bound
     value: float
 
-    def as_dict(self):
-        return {"kind": self.kind, "value": self.value}
-
 
 @dataclass
 class ParamEstimate:
@@ -75,13 +72,7 @@ class ParamEstimate:
     method_notes: list = field(default_factory=list)
 
     def to_json(self):
-        return json.dumps({
-            "sigma": self.sigma.as_dict(),
-            "alpha1": self.alpha1.as_dict() if self.alpha1 is not None else None,
-            "alpha1_interval": list(self.alpha1_interval),
-            "per_s_evidence": self.per_s_evidence,
-            "method_notes": self.method_notes,
-        }, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def _d_count(table, s, exps):

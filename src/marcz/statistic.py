@@ -183,6 +183,8 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
     if collect_traces:
         table.traces = dict.fromkeys(keys)
     for tr in _traces(x, table, cfg):
+        if not (tr.f[-1] or tr.f.any()):  # all-zero f reads as Converges; f[-1] spares the scan
+            raise DomainError(f"|x - mu|^{tr.s} underflows to 0; no verdict for s = {tr.s}")
         table.cells[(tr.s, tr.exponent)] = convergence_verdict(tr, cfg, offsets)
         if collect_traces:
             table.traces[(tr.s, tr.exponent)] = tr

@@ -222,6 +222,21 @@ class TestAnalyzeCmd:
         same = (chosen / "verdicts.tsv").read_bytes() == (default / "verdicts.tsv").read_bytes()
         assert same == (column == "Close")
         assert json.loads((chosen / "manifest.json").read_text())["args"]["column"] == column
+        assert json.loads((default / "manifest.json").read_text())["args"]["column"] == "Adj Close"
+
+    @pytest.mark.parametrize("flags", [["--column", "Zzz"], ["--full-series"]])
+    def test_price_flag_with_returns_is_usage_error(self, tmp_path, capsys, flags):
+        # the flags choose a price column and a window, which a returns file has not
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--returns-csv", str(rets), *flags, "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flags[0]}: not allowed with argument --returns-csv" in captured.err
+        assert not out.exists()
 
     def test_full_series(self, tmp_path, capsys):
         p = tmp_path / "prices.csv"
@@ -247,7 +262,7 @@ class TestAnalyzeCmd:
         assert not (out / "verdicts.tsv").exists()
 
     @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
-                                     "constant", "overflow"])
+                                     "constant", "overflow", "headerless", "underflow"])
     def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
@@ -260,6 +275,10 @@ class TestAnalyzeCmd:
             lines[1:] = []
         elif bad == "overflow":  # finite, but its square is not
             lines[1000] = "1e200"
+        elif bad == "headerless":  # its first return would be read as the header
+            lines[:1] = []
+        elif bad == "underflow":  # nonzero, but every |x - mu|^2 is 0
+            lines[1:] = [f"{float(v) * 1e-300:.17g}" for v in lines[1:]]
         else:
             lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import oracles
 from marcz import CoefficientSpec, coefficient_array, verify_kernel_bound
-from marcz.errors import ConfigurationError, DomainError, OutOfWindowError
+from marcz.errors import ConfigurationError, DomainError
 from marcz.kernel import _NEAR_LAGS, _SERIES_BLOCK, _far_series, _lemma_bound
 from marcz.verify import kernel_suite
 
@@ -25,11 +25,6 @@ class TestCoefficient:
     def test_center_value(self):
         spec = CoefficientSpec(sigma=0.6, scale=2.0, center_value=1.0, window=8)
         assert coefficient_array(spec)[8] == 1.0
-
-    def test_out_of_window(self):
-        spec = CoefficientSpec(sigma=0.75, window=10)
-        with pytest.raises(OutOfWindowError):
-            coefficient_array(spec, 11)
 
     def test_invalid_sigma(self):
         with pytest.raises(ConfigurationError):

@@ -95,6 +95,14 @@ class TestSimulate:
         with pytest.raises(ConfigurationError):
             _config(n=0)
 
+    @pytest.mark.parametrize("coeff_window", [2 ** 9, 2 ** 11])
+    def test_one_window(self, coeff_window):
+        # M is one value: every coefficient spec carries the simulation's window
+        spec = CoefficientSpec(sigma=0.75, window=coeff_window)
+        with pytest.raises(ConfigurationError, match="differs from the simulation window"):
+            ProcessConfig(s=1, coeffs=(spec,), innov=InnovationSpec("gaussian"),
+                          length=2 ** 10, window=2 ** 10)
+
 
 class TestProducts:
     def test_s1_identity(self):
@@ -160,19 +168,19 @@ class TestKernelSpectrum:
 
     def test_read_only_and_keyed_on_every_input(self):
         spec, size = CoefficientSpec(sigma=0.8, window=64), _fft_length(300)
-        base = _kernel_spectrum(spec, 64, size)
+        base = _kernel_spectrum(spec, size)
         assert not base.flags.writeable
         with pytest.raises(ValueError):
             base *= 2.0
-        assert _kernel_spectrum(spec, 64, size) is base
-        for changed, half_width, length in [
-                (CoefficientSpec(sigma=0.7, window=64), 64, size),
-                (CoefficientSpec(sigma=0.8, scale=2.0, window=64), 64, size),
-                (CoefficientSpec(sigma=0.8, center_value=0.5, window=64), 64, size),
-                (spec, 32, size),
-                (spec, 64, _fft_length(400))]:
-            fresh = np.fft.rfft(coefficient_array(changed, half_width), length)
-            assert np.array_equal(_kernel_spectrum(changed, half_width, length), fresh)
+        assert _kernel_spectrum(spec, size) is base
+        for changed, length in [
+                (CoefficientSpec(sigma=0.7, window=64), size),
+                (CoefficientSpec(sigma=0.8, scale=2.0, window=64), size),
+                (CoefficientSpec(sigma=0.8, center_value=0.5, window=64), size),
+                (CoefficientSpec(sigma=0.8, window=32), size),
+                (spec, _fft_length(400))]:
+            fresh = np.fft.rfft(coefficient_array(changed), length)
+            assert np.array_equal(_kernel_spectrum(changed, length), fresh)
 
 
 def _convolve(xi, kern):
@@ -189,18 +197,18 @@ def _is_5_smooth(v):
 
 class TestTruncationBound:
     def test_formula(self):
-        spec = CoefficientSpec(sigma=0.75)
-        assert truncation_error_bound(spec, 10 ** 4) == pytest.approx(0.04)
+        spec = CoefficientSpec(sigma=0.75, window=10 ** 4)
+        assert truncation_error_bound(spec) == pytest.approx(0.04)
 
     def test_sigma_one(self):
-        spec = CoefficientSpec(sigma=1.0)
-        assert truncation_error_bound(spec, 10 ** 4) == pytest.approx(2e-4)
+        spec = CoefficientSpec(sigma=1.0, window=10 ** 4)
+        assert truncation_error_bound(spec) == pytest.approx(2e-4)
 
     def test_boundary_divergence(self):
         from types import SimpleNamespace
-        spec = SimpleNamespace(sigma=0.5, scale=1.0)
+        spec = SimpleNamespace(sigma=0.5, scale=1.0, window=10 ** 4)
         with pytest.raises(DomainError):
-            truncation_error_bound(spec, 10 ** 4)
+            truncation_error_bound(spec)
 
 
 class TestAutocovariance:

@@ -216,6 +216,14 @@ class TestVerdictTable:
         with pytest.raises(DomainError):
             verdict_table(np.full(2601, c))
 
+    @pytest.mark.parametrize("scale,s_list,first_zero", [(1.0, (1, 2, 400), 400),
+                                                          (1e-300, (1, 2, 3), 2)])
+    def test_underflowed_residual_rejected(self, scale, s_list, first_zero):
+        # |x - mu|^s all 0 gives all-zero sums, which the rule would read as C
+        x = sample(InnovationSpec("gaussian"), 2601, 3) * 0.01 * scale
+        with pytest.raises(DomainError, match=f"no verdict for s = {first_zero}$"):
+            verdict_table(x, s_list)
+
     @pytest.mark.parametrize("s_list,exponents", [
         ((1, 1), (0.5, 1.0)),
         ((1, 2), (0.5, 0.5)),
