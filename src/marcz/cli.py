@@ -17,7 +17,6 @@ from .rates import estimate_parameters, predict_table
 from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, tables_from_tsv
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
 
@@ -75,8 +74,8 @@ def _load_process_config(path):
 
 def cmd_simulate(args):
     config = _load_process_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     ens = linproc.simulate_paths(config, args.seed)
+    os.makedirs(args.out, exist_ok=True)
     for w in ens.warnings:
         sys.stderr.write(f"warning: {w}\n")
     linproc.ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
@@ -121,19 +120,19 @@ def _write_traces(jobs):
     stride shares over up to one process per usable CPU.
 
     The parent writes share 0 and forks one child per other share; a child
-    reports its first failure through a pipe and ends with os._exit, so it
-    never returns into the caller or flushes the parent's buffers. Without
-    os.fork or os.sched_getaffinity the one share runs in-process. Raises
-    the parent's own error, else the first child's, once every child is
-    reaped.
+    ends with os._exit(0), or os._exit(1) on a failure, so it never returns
+    into the caller or flushes the parent's buffers. Without os.fork or
+    os.sched_getaffinity the one share runs in-process. Once every child is
+    reaped, the parent writes each failed child's share again itself: a
+    failure that persists raises there, and a transient one (a killed
+    child, a disk with space again) leaves every trace written.
     """
     cpus = (os.sched_getaffinity(0)
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else (0,))
     workers = max(1, min(len(cpus), len(jobs)))
-    children, failures = [], []
+    children = {}
     try:
         for w in range(1, workers):
-            read_fd, write_fd = os.pipe()
             with warnings.catch_warnings():
                 # Python >= 3.12 warns on fork in a threaded process, and
                 # numpy's idle BLAS pool counts; the child only formats text
@@ -146,31 +145,23 @@ def _write_traces(jobs):
                     for path, trace in jobs[w::workers]:
                         trace.to_csv(path)
                     status = 0
-                except Exception as exc:
-                    os.write(write_fd, str(exc).encode())
                 finally:
                     os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd))
+            children[pid] = w
         for path, trace in jobs[::workers]:
             trace.to_csv(path)
     finally:
-        for pid, read_fd in children:
-            with open(read_fd, "rb") as pipe:
-                message = pipe.read().decode()
-            status = os.waitpid(pid, 0)[1]
-            if status:
-                failures.append(message or
-                                f"trace writer process {pid} ended with wait status {status}")
-    if failures:
-        raise OSError(failures[0])
+        failed = [w for pid, w in children.items() if os.waitpid(pid, 0)[1]]
+    for w in failed:
+        for path, trace in jobs[w::workers]:
+            trace.to_csv(path)
 
 
 def cmd_analyze(args):
     values, label = _analysis_input(args)
-    os.makedirs(args.out, exist_ok=True)
     table = statistic.verdict_table(values, args.s_list, args.exponents, label=label,
                                     proportional=args.proportional, collect_traces=True)
+    os.makedirs(args.out, exist_ok=True)
     _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
                    for (s, e), tr in table.traces.items()])
     with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
@@ -283,7 +274,7 @@ def main(argv=None):
         args.column = "Adj Close"  # manifest.json records the column read
     try:
         return args.func(args)
-    except (MarczError, OSError, FloatingPointError) as exc:
+    except (MarczError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

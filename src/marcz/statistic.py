@@ -104,12 +104,23 @@ def _traces(x, grid, cfg):
     computed once, and the last exponent's f is written into its row's
     partial-sum buffer: a grid whose traces are dropped as they come then
     peaks no higher in memory than with one trace per cell.
+
+    A row whose last partial sum is not finite (inf or NaN stays in a
+    cumsum), or whose residuals lost to underflow where x != mu (each one
+    < tiny) could outweigh the rounding of their sum, raises DomainError.
     """
-    mu = ewma(x, cfg.epsilon)
+    tiny, eps = np.finfo(np.float64).tiny, np.finfo(np.float64).eps
     rows = []
-    for s in grid.s_list:
-        residual = np.abs(x - mu) ** s
-        rows.append(_partial_sums(residual, ewma(residual, cfg.rho)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = ewma(x, cfg.epsilon)
+        exact = np.count_nonzero(x == mu)  # residuals that are 0 without underflow
+        for s in grid.s_list:
+            residual = np.abs(x - mu) ** s
+            sums = _partial_sums(residual, ewma(residual, cfg.rho))
+            lost = np.count_nonzero(residual < tiny) - exact
+            if not np.isfinite(sums[-1]) or lost * tiny > eps * residual.sum():
+                raise DomainError(f"|x - mu|^{s} leaves the float range; no verdict for s = {s}")
+            rows.append(sums)
     del mu, residual
     k = np.arange(1, x.size + 1, dtype=np.float64)
     for i, e in enumerate(grid.exponent_list, 1):
@@ -153,7 +164,6 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
                    mean_quarter=mean_quarter, ratios=ratios)
 
 
-@np.errstate(over="raise")  # a trace beyond the float range has no verdict
 def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
                   cfg=RunningMeanConfig(), label="", proportional=False,
                   collect_traces=False):
@@ -183,8 +193,6 @@ def verdict_table(x, s_list=DEFAULT_S_LIST, exponent_list=DEFAULT_EXPONENTS,
     if collect_traces:
         table.traces = dict.fromkeys(keys)
     for tr in _traces(x, table, cfg):
-        if not (tr.f[-1] or tr.f.any()):  # all-zero f reads as Converges; f[-1] spares the scan
-            raise DomainError(f"|x - mu|^{tr.s} underflows to 0; no verdict for s = {tr.s}")
         table.cells[(tr.s, tr.exponent)] = convergence_verdict(tr, cfg, offsets)
         if collect_traces:
             table.traces[(tr.s, tr.exponent)] = tr

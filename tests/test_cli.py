@@ -12,6 +12,7 @@ from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, load_prices,
                    log_returns, rate_bound, predict_table, sample, select_window,
                    simulate_paths, verdict_table)
 from marcz.cli import main
+from marcz.statistic import MarcTrace
 
 
 def _write_returns(path, n=2601, seed=0):
@@ -292,6 +293,15 @@ class TestAnalyzeCmd:
         assert proc.stderr.count("\n") == 1
         assert not (out / "verdicts.tsv").exists()
 
+    def test_refused_series_leaves_no_run_directory(self, tmp_path, capsys):
+        # the grid refuses the series before the run directory is made
+        rets = tmp_path / "returns.csv"
+        rets.write_text("value\n" + "0.01\n" * 2601)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 3
+        assert "series is constant" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--s-list", "1,1"], ["--exponents", "0.5,0.5"]])
     def test_repeated_grid_value_exit_code(self, tmp_path, capsys, argv):
         rets = tmp_path / "returns.csv"
@@ -366,6 +376,34 @@ class TestTraceWriters:
         assert captured.err.count("\n") == 1
         assert name in captured.err
         assert not (out / "verdicts.tsv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_transient_child_failure_recovers(self, tmp_path, capsys, forks,
+                                              monkeypatch):
+        # the first child fails on one of its traces, and the parent writes
+        # that child's share again once it is reaped
+        parent, to_csv = os.getpid(), MarcTrace.to_csv
+
+        def flaky(self, path):
+            if os.getpid() != parent and os.path.basename(path) == "trace_s1_e0.6.csv":
+                raise OSError("disk full")
+            to_csv(self, path)
+
+        monkeypatch.setattr(MarcTrace, "to_csv", flaky)
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
+        assert len(forks) == 2
+        assert capsys.readouterr().err == ""
+        values = np.loadtxt(rets, skiprows=1, delimiter=",", ndmin=1)
+        table = verdict_table(values, collect_traces=True)
+        assert len(list(out.glob("trace_*.csv"))) == len(table.traces)
+        serial = tmp_path / "serial.csv"
+        for (s, e), tr in table.traces.items():
+            to_csv(tr, serial)
+            assert (out / f"trace_s{s}_e{e:g}.csv").read_bytes() == serial.read_bytes()
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 

@@ -224,6 +224,15 @@ class TestVerdictTable:
         with pytest.raises(DomainError, match=f"no verdict for s = {first_zero}$"):
             verdict_table(x, s_list)
 
+    def test_partial_underflow_rejected(self):
+        # at s = 400 most residuals underflow but not all: the row is refused,
+        # while at s = 200 the row keeps the verdicts of the unit-scaled series
+        x = sample(InnovationSpec("student_t", 3.0), 2601, 0) * 0.01
+        with pytest.raises(DomainError, match="no verdict for s = 400$"):
+            verdict_table(x, (200, 400))
+        unit = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+        assert verdict_table(x, (200,)).to_tsv() == verdict_table(unit, (200,)).to_tsv()
+
     @pytest.mark.parametrize("s_list,exponents", [
         ((1, 1), (0.5, 1.0)),
         ((1, 2), (0.5, 0.5)),
@@ -257,16 +266,47 @@ class TestVerdictTable:
         assert accepted == accepted_before
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-           st.integers(min_value=-20, max_value=20))
+           st.integers(min_value=-60, max_value=60))
     @settings(max_examples=50, deadline=None)
     def test_power_of_two_scaling(self, seed, k):
         # scaling by 2^k is exact in floating point, so every cell keeps its
-        # letter and its ratios to the bit
+        # letter and its ratios to the bit, and every trace and mean is the
+        # unscaled one times 2^(k s)
         x = sample(InnovationSpec("student_t", 3.0), 2601, seed)
-        a, b = verdict_table(x), verdict_table(2.0 ** k * x)
-        for key, v in a.cells.items():
-            assert b.cells[key].letter == v.letter
-            assert np.array(b.cells[key].ratios).tobytes() == np.array(v.ratios).tobytes()
+        a = verdict_table(x, collect_traces=True)
+        b = verdict_table(2.0 ** k * x, collect_traces=True)
+        assert b.to_tsv() == a.to_tsv()
+        for (s, e), v in a.cells.items():
+            w = b.cells[(s, e)]
+            assert np.array(w.ratios).tobytes() == np.array(v.ratios).tobytes()
+            means = (v.mean_whole, v.mean_half, v.mean_quarter)
+            assert (w.mean_whole, w.mean_half, w.mean_quarter) == tuple(
+                np.ldexp(means, k * s))
+            assert b.traces[(s, e)].f.tobytes() == np.ldexp(a.traces[(s, e)].f, k * s).tobytes()
+
+    @pytest.mark.parametrize("s_list", [(1, 2, 3), (40,)])
+    def test_binary_scale_sweep(self, s_list):
+        # from the smallest subnormal to the largest binade: the grid either
+        # gives the unscaled verdicts or refuses the row that left the range
+        x = sample(InnovationSpec("student_t", 3.0), 2601, 7)
+        x /= np.abs(x).max()
+        want = verdict_table(x, s_list).to_tsv()
+        refused = 0
+        for k in (*range(-1074, 1024, 37), -1066, -532, -354):
+            try:
+                got = verdict_table(np.ldexp(x, k), s_list)
+            except DomainError:
+                refused += 1
+            else:
+                assert got.to_tsv() == want, k
+        assert 0 < refused < 60
+
+    def test_overflow_rejected(self):
+        x = sample(InnovationSpec("student_t", 3.0), 2601, 0) * 1e200
+        with pytest.raises(DomainError, match="no verdict for s = 2$"):
+            verdict_table(x)
+        with pytest.raises(DomainError, match="no verdict for s = 2$"):
+            marcinkiewicz_trace(x, 2, 0.7)
 
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
