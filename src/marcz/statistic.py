@@ -142,24 +142,22 @@ def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig()):
 def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS):
     """Two-stage trailing-average rule: diverges unless the whole-window
     average exceeds 1.2x the last-half average and that exceeds 1.05x the
-    last-quarter average. A NaN mean fails both comparisons and diverges."""
+    last-quarter average. A NaN mean diverges; an overflowing one raises."""
     f = trace.f
     need = cfg.start + offsets[1] + 1
     if f.size < need:
         raise LengthError(f"trace length {f.size} < required {need}")
     tails = (f[cfg.start - 1 + o:] for o in (0, *offsets))
     # np.cumsum sums sequentially (np.mean pairwise), which keeps the means' bits
-    mean_whole, mean_half, mean_quarter = (np.cumsum(v)[-1] / v.size for v in tails)
-    if (mean_whole >= THRESHOLDS[0] * mean_half
-            and mean_half >= THRESHOLDS[1] * mean_quarter):
-        outcome = "Converges"
-    else:
-        outcome = "Diverges"
+    with np.errstate(over="ignore"):
+        mean_whole, mean_half, mean_quarter = (np.cumsum(v)[-1] / v.size for v in tails)
+    if any(map(math.isinf, (mean_whole, mean_half, mean_quarter))):
+        raise DomainError(f"a mean of f leaves the float range; no verdict for s = {trace.s}")
+    outcome = ("Converges" if mean_whole >= THRESHOLDS[0] * mean_half
+               and mean_half >= THRESHOLDS[1] * mean_quarter else "Diverges")
     # Python float division: a subnormal divisor gives inf with no overflow warning
-    ratios = (
-        float(mean_whole) / float(mean_half) if mean_half != 0 else float("inf"),
-        float(mean_half) / float(mean_quarter) if mean_quarter != 0 else float("inf"),
-    )
+    ratios = (float(mean_whole) / float(mean_half) if mean_half != 0 else math.inf,
+              float(mean_half) / float(mean_quarter) if mean_quarter != 0 else math.inf)
     return Verdict(outcome=outcome, mean_whole=mean_whole, mean_half=mean_half,
                    mean_quarter=mean_quarter, ratios=ratios)
 

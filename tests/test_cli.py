@@ -263,7 +263,8 @@ class TestAnalyzeCmd:
         assert not (out / "verdicts.tsv").exists()
 
     @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
-                                     "constant", "overflow", "headerless", "underflow"])
+                                     "constant", "overflow", "headerless", "underflow",
+                                     "mean_overflow"])
     def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
@@ -280,13 +281,16 @@ class TestAnalyzeCmd:
             lines[:1] = []
         elif bad == "underflow":  # nonzero, but every |x - mu|^2 is 0
             lines[1:] = [f"{float(v) * 1e-300:.17g}" for v in lines[1:]]
+        elif bad == "mean_overflow":  # every partial sum is finite, the sum of f is not
+            lines[700] = "1e308"
         else:
             lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")
         out = tmp_path / "analysis"
         # in a child process, so that a library warning would reach stderr
+        s_list = ["--s-list", "1"] if bad == "mean_overflow" else []
         proc = _run_python("-m", "marcz.cli", "analyze", "--returns-csv", str(rets),
-                           "--out", str(out))
+                           *s_list, "--out", str(out))
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")

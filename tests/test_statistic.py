@@ -308,6 +308,15 @@ class TestVerdictTable:
         with pytest.raises(DomainError, match="no verdict for s = 2$"):
             marcinkiewicz_trace(x, 2, 0.7)
 
+    @pytest.mark.parametrize("big,exponents", [(1e306, (0.1,)), (1e308, DEFAULT_EXPONENTS)])
+    def test_trailing_mean_overflow_rejected(self, big, exponents):
+        # every partial sum stays finite, but the verdict rule's sum of
+        # about 2000 values of f does not
+        x = sample(InnovationSpec("student_t", 3.0), 2601, 0) * 0.01
+        x[700] = big
+        with pytest.raises(DomainError, match="no verdict for s = 1$"):
+            verdict_table(x, (1,), exponents)
+
     @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_sign_symmetry(self, seed):
