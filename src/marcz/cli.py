@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 # ingest, innovations, kernel, linproc, statistic and verify load numpy on
@@ -93,7 +94,7 @@ def _read_returns(path):
             # numpy warns, rather than fails, on a file without data rows
             warnings.simplefilter("error", UserWarning)
             header = fh.readline()
-            values = np.loadtxt(path, skiprows=1, delimiter=",", ndmin=1)
+            values = np.loadtxt(fh, delimiter=",", ndmin=1)
     except UserWarning:
         raise EmptyDataError(f"{path}: no data rows") from None
     except ValueError as exc:  # a cell that is not a number, or text that is not UTF-8
@@ -172,9 +173,8 @@ def cmd_analyze(args):
 
 
 def cmd_estimate(args):
-    out = {t.label: json.loads(estimate_parameters(t).to_json())
-           for t in tables_from_tsv(args.table)}
-    text = json.dumps(out, indent=2)
+    text = json.dumps({t.label: asdict(estimate_parameters(t))
+                       for t in tables_from_tsv(args.table)}, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -274,7 +274,7 @@ def main(argv=None):
         args.column = "Adj Close"  # manifest.json records the column read
     try:
         return args.func(args)
-    except (MarczError, OSError) as exc:
+    except (MarczError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

@@ -75,20 +75,14 @@ class ParamEstimate:
         return json.dumps(asdict(self), indent=2)
 
 
-def _d_count(table, s, exps):
-    """Number of D cells of row s read in ascending exponent, or None when
-    the row is not D-prefix/C-suffix."""
-    row = "".join(table.outcome(s, e) for e in exps)
-    k = row.count("D")
-    return k if row == "D" * k + "C" * (len(row) - k) else None
-
-
 def estimate_parameters(table):
     """Invert a verdict grid into sigma and alpha_1 estimates.
 
-    The s = 1 row anchors sigma through the flip exponent midpoint; rows with
-    s >= 2 constrain alpha_s (and thus alpha_1 = s * alpha_s) through the
-    branch of the rate bound not already explained by the sigma estimate.
+    Each row is read once, in ascending exponent, into its count of D cells;
+    a row that is not D-prefix/C-suffix is excluded. The s = 1 row anchors
+    sigma through the flip exponent midpoint; rows with s >= 2 constrain
+    alpha_s (and thus alpha_1 = s * alpha_s) through the branch of the rate
+    bound not already explained by the sigma estimate.
     """
     s_values = sorted(table.s_list)
     if 1 not in s_values:
@@ -96,72 +90,62 @@ def estimate_parameters(table):
     if not any(s >= 2 for s in s_values):
         raise ConfigurationError("need at least one s >= 2 row for the tail step")
     notes = []
-    evidence = []
     exps = sorted(table.exponent_list)
     grid_step = min(b - a for a, b in zip(exps, exps[1:])) if len(exps) > 1 else 0.1
 
     counts = {}  # s -> D cells of each D-prefix/C-suffix row
     for s in s_values:
-        k = _d_count(table, s, exps)
-        if k is None:
-            notes.append(f"row s={s} is not D-prefix/C-suffix; excluded as inconsistent")
-        else:
+        row = "".join(table.outcome(s, e) for e in exps)
+        k = row.count("D")
+        if row == "D" * k + "C" * (len(row) - k):
             counts[s] = k
+        else:
+            notes.append(f"row s={s} is not D-prefix/C-suffix; excluded as inconsistent")
     if 1 not in counts:
         raise ConfigurationError("s=1 row is inconsistent; no sigma anchor")
 
     # --- sigma from the s=1 row (ignoring the CLT-forced e=0.5 column) ---
     k = counts.pop(1)
     if k <= sum(e <= 0.5 for e in exps):  # all C beyond e=0.5
-        sigma_est = EstimateValue("lower_bound", 1.0)
+        sigma_est, e_star = EstimateValue("lower_bound", 1.0), None
         notes.append("s=1 row converges at every tested e > 0.5: no (or limited) LRD")
-    elif k == len(exps):  # all D
-        e_star = exps[-1] + grid_step / 2.0
-        sigma_est = EstimateValue("point", 1.5 - e_star)
-        notes.append("s=1 row diverges at every tested exponent; "
-                     "flip placed half a grid step beyond the grid")
     else:
-        e_star = (exps[k - 1] + exps[k]) / 2.0
+        if k < len(exps):
+            e_star = (exps[k - 1] + exps[k]) / 2.0
+        else:
+            e_star = exps[-1] + grid_step / 2.0
+            notes.append("s=1 row diverges at every tested exponent; "
+                         "flip placed half a grid step beyond the grid")
         sigma_est = EstimateValue("point", 1.5 - e_star)
-    evidence.append({"s": 1, "flip_exponent": None if sigma_est.kind == "lower_bound"
-                     else e_star, "constraint": f"sigma {sigma_est.kind} {sigma_est.value:g}"})
-
-    sigma_hat = 1.0 if sigma_est.kind == "lower_bound" else sigma_est.value
+    evidence = [{"s": 1, "flip_exponent": e_star,
+                 "constraint": f"sigma {sigma_est.kind} {sigma_est.value:g}"}]
 
     # --- alpha_1 from each s >= 2 row ---
     points, point_intervals, uppers, lowers = [], [], [], []
     for s, k in counts.items():
-        # part of the rate bound already fixed by sigma_hat, which may lie
-        # at or below 0.5, outside rate_bound's domain
-        explained = _bound(s, sigma_hat, math.inf)
-        if k == len(exps):  # all D
-            p_ub = 1.0 / exps[-1]
-            if explained > p_ub + _EQ_TOL:
-                uppers.append(s * p_ub)
-                evidence.append({"s": s, "flip_exponent": None,
-                                 "constraint": f"alpha_1 <= {s * p_ub:g} (all-D row)"})
-            else:
-                evidence.append({"s": s, "flip_exponent": None,
-                                 "constraint": "no tail information (row explained by LRD term)"})
-            continue
+        # part of the rate bound already fixed by sigma, which may lie at or
+        # below 0.5, outside rate_bound's domain
+        explained = _bound(s, sigma_est.value, math.inf)
+        p_hi = 1.0 / exps[k - 1] if k else math.inf  # the row reads D up to p_hi
+        p_lo = 1.0 / exps[k] if k < len(exps) else 0.0  # and C from p_lo on
+        tail_limited = explained > p_hi + _EQ_TOL  # the LRD term alone converges at p_hi
+        flip = (exps[k - 1] + exps[k]) / 2.0 if 0 < k < len(exps) else None
         if k == 0:  # all C, including p=2: outside the theory's reach
-            evidence.append({"s": s, "flip_exponent": None,
-                             "constraint": "no tail information (row all-C)"})
-            continue
-        e_d, e_c = exps[k - 1], exps[k]
-        p_lo, p_hi = 1.0 / e_c, 1.0 / e_d
-        if explained <= p_hi + _EQ_TOL:
-            # the observed flip is attributable to the LRD term alone
-            lowers.append(s * p_lo)
-            evidence.append({"s": s, "flip_exponent": (e_d + e_c) / 2.0,
-                             "constraint": f"alpha_1 >= {s * p_lo:g} "
-                                           "(flip explained by LRD term)"})
-        else:
-            p_star = 2.0 / (e_d + e_c)
+            constraint = "no tail information (row all-C)"
+        elif k == len(exps) and tail_limited:
+            uppers.append(s * p_hi)
+            constraint = f"alpha_1 <= {s * p_hi:g} (all-D row)"
+        elif k == len(exps):
+            constraint = "no tail information (row explained by LRD term)"
+        elif tail_limited:
+            p_star = 1.0 / flip
             points.append(s * p_star)
             point_intervals.append((s * p_lo, s * p_hi))
-            evidence.append({"s": s, "flip_exponent": (e_d + e_c) / 2.0,
-                             "constraint": f"alpha_s = {p_star:g} -> alpha_1 = {s * p_star:g}"})
+            constraint = f"alpha_s = {p_star:g} -> alpha_1 = {s * p_star:g}"
+        else:  # the observed flip is attributable to the LRD term alone
+            lowers.append(s * p_lo)
+            constraint = f"alpha_1 >= {s * p_lo:g} (flip explained by LRD term)"
+        evidence.append({"s": s, "flip_exponent": flip, "constraint": constraint})
 
     lo = max(lowers) if lowers else 1.0
     hi = min(uppers) if uppers else math.inf

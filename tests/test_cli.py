@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -34,14 +35,14 @@ def _write_prices(path, n=2801, seed=0):
             fh.write(f"2010-01-{i % 28 + 1:02d},{p:.6f},{p:.6f},{p:.6f},{p:.6f},{p:.6f},{v}\n")
 
 
-def _run_python(*args):
+def _run_python(*args, **kwargs):
     # the child inherits this environment and imports the marcz under test
     env = dict(os.environ)
     root = os.path.dirname(os.path.dirname(marcz.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (root, env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True)
+                          text=True, **kwargs)
 
 
 class TestSimulateCmd:
@@ -85,6 +86,22 @@ class TestSimulateCmd:
             "the product rate violated (stress-test regime)\n")
         assert sorted(p.name for p in out.iterdir()) == [
             "ensemble.bin", "ensemble.json", "manifest.json"]
+
+    def test_unallocatable_length_exit_code(self, tmp_path):
+        # 2^50 doubles (8 PiB) exceed the 2^47-byte address space Linux maps
+        # for a process by default, whatever the overcommit setting
+        cfg = {"sigma": 0.8, "n": 2 ** 50, "window": 512,
+               "innovation": {"family": "gaussian"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        proc = _run_python("-m", "marcz.cli", "simulate", "--config", str(path),
+                           "--out", str(out))
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("text,names", [
         ("[1, 2]", None),
@@ -296,6 +313,37 @@ class TestAnalyzeCmd:
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         assert not (out / "verdicts.tsv").exists()
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_returns(self, tmp_path):
+        # a pipe can be read once: the header and the values come from one reader
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        argv = ["-m", "marcz.cli", "analyze", "--label", "returns", "--out"]
+        assert _run_python(*argv, str(tmp_path / "file"),
+                           "--returns-csv", str(rets)).returncode == 0
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(rets.read_bytes())
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            proc = _run_python(*argv, str(tmp_path / "pipe"), "--returns-csv",
+                               f"/dev/fd/{r}", pass_fds=(r,), timeout=120)
+        finally:
+            os.close(r)
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert proc.returncode == 0, proc.stderr
+        assert ((tmp_path / "pipe" / "verdicts.tsv").read_text()
+                == (tmp_path / "file" / "verdicts.tsv").read_text())
+        traces = sorted((tmp_path / "pipe").glob("trace_*.csv"))
+        assert len(traces) == 18
+        for trace in traces:
+            assert len(trace.read_text().splitlines()) == 2601 + 1, trace.name
 
     def test_refused_series_leaves_no_run_directory(self, tmp_path, capsys):
         # the grid refuses the series before the run directory is made

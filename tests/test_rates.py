@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -199,6 +200,14 @@ class TestInversionPin:
         tables = (_grid((1, 2), r) for r in itertools.product(rows, repeat=2))
         assert _inversion_digest(tables) == (
             "c4938f50d283ea18ce29e9044d76e40de82e9083382413beb96a3d35b5be6c24")
+
+    def test_three_arbitrary_rows(self):
+        # a seeded sample of three-row tables, inconsistent rows of any s included
+        rows = ["".join(r) for r in itertools.product("CD", repeat=6)]
+        rng = random.Random(0)
+        tables = (_grid((1, 2, 3), rng.choices(rows, k=3)) for _ in range(4096))
+        assert _inversion_digest(tables) == (
+            "1c8257897f995746ebdfacf3ace4dc9efadb0e05730d4d7abafd6a57fe6486e1")
 
 
 def _assert_recovers(sigma, alpha1):

@@ -12,7 +12,7 @@ from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec,
                    ewma, marcinkiewicz_trace, sample, tables_from_tsv,
                    verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
-from marcz.statistic import PAPER_LENGTH, TRAILING_OFFSETS, MarcTrace
+from marcz.statistic import PAPER_LENGTH, THRESHOLDS, TRAILING_OFFSETS, MarcTrace
 
 import oracles
 
@@ -283,6 +283,24 @@ class TestVerdictTable:
             assert (w.mean_whole, w.mean_half, w.mean_quarter) == tuple(
                 np.ldexp(means, k * s))
             assert b.traces[(s, e)].f.tobytes() == np.ldexp(a.traces[(s, e)].f, k * s).tobytes()
+
+    @pytest.mark.parametrize("c", [1.0, -3.0, 1e3])
+    def test_shift_invariance(self, c):
+        # the running mean mu moves with x, so x - mu and the verdicts do not;
+        # the traces' low bits move, so a cell whose ratio lies within a
+        # relative 1e-9 of its threshold is not compared
+        compared = 0
+        for seed in range(100):
+            x = 0.01 * sample(InnovationSpec("student_t", 3.0), 2601, seed)
+            a, b = verdict_table(x), verdict_table(x + c)
+            for key, v in a.cells.items():
+                w = b.cells[key]
+                if any(abs(r / t - 1.0) < 1e-9
+                       for u in (v, w) for r, t in zip(u.ratios, THRESHOLDS)):
+                    continue
+                assert w.letter == v.letter, (seed, key)
+                compared += 1
+        assert compared > 0.99 * 100 * len(DEFAULT_S_LIST) * len(DEFAULT_EXPONENTS)
 
     @pytest.mark.parametrize("s_list", [(1, 2, 3), (40,)])
     def test_binary_scale_sweep(self, s_list):
