@@ -5,6 +5,7 @@ import json
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -22,16 +23,16 @@ EXIT_DATA = 3
 EXIT_VERIFY = 4
 
 
-def _write_manifest(out_dir, command, args, seeds):
-    manifest = {
-        "tool": "marcz",
-        "version": __version__,
-        "command": command,
-        "args": {k: v for k, v in vars(args).items() if k != "func"},
-        "seeds": seeds,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+@contextmanager
+def _run_directory(args):
+    """Create `args.out` for the block's files, then write manifest.json last."""
+    os.makedirs(args.out, exist_ok=True)
+    yield args.out
+    manifest = {"tool": "marcz", "version": __version__, "command": args.command,
+                "args": {k: v for k, v in vars(args).items() if k != "func"},
+                "seeds": [args.seed] if "seed" in args else [],
+                "timestamp": datetime.now(timezone.utc).isoformat()}
+    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
 
@@ -53,6 +54,10 @@ def _load_process_config(path):
         raise ConfigurationError(f"{path}: top level must be a JSON object")
     number = innovations.config_number
     try:
+        for key in raw:
+            if key not in ("s", "sigma", "sigmas", "scale", "center_value", "window",
+                           "innovation", "sharing", "n"):
+                raise ConfigurationError(f"unknown key {key!r}")
         s = number(raw.get("s", 1), "s", int)
         sigmas = raw["sigmas"] if "sigmas" in raw else [number(raw["sigma"], "sigma")] * s
         if "sigmas" in raw and (type(sigmas) is not list or len(sigmas) != s):
@@ -76,12 +81,11 @@ def _load_process_config(path):
 def cmd_simulate(args):
     config = _load_process_config(args.config)
     ens = linproc.simulate_paths(config, args.seed)
-    os.makedirs(args.out, exist_ok=True)
     for w in ens.warnings:
         sys.stderr.write(f"warning: {w}\n")
-    linproc.ensemble_to_binary(ens, os.path.join(args.out, "ensemble.bin"),
-                               os.path.join(args.out, "ensemble.json"))
-    _write_manifest(args.out, "simulate", args, [args.seed])
+    with _run_directory(args) as out:
+        linproc.ensemble_to_binary(ens, os.path.join(out, "ensemble.bin"),
+                                   os.path.join(out, "ensemble.json"))
     return EXIT_OK
 
 
@@ -131,6 +135,10 @@ def _write_traces(jobs):
     cpus = (os.sched_getaffinity(0)
             if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else (0,))
     workers = max(1, min(len(cpus), len(jobs)))
+
+    def share(w):
+        for path, trace in jobs[w::workers]:
+            trace.to_csv(path)
     children = {}
     try:
         for w in range(1, workers):
@@ -143,42 +151,36 @@ def _write_traces(jobs):
             if pid == 0:
                 status = 1
                 try:
-                    for path, trace in jobs[w::workers]:
-                        trace.to_csv(path)
+                    share(w)
                     status = 0
                 finally:
                     os._exit(status)
             children[pid] = w
-        for path, trace in jobs[::workers]:
-            trace.to_csv(path)
+        share(0)
     finally:
         failed = [w for pid, w in children.items() if os.waitpid(pid, 0)[1]]
     for w in failed:
-        for path, trace in jobs[w::workers]:
-            trace.to_csv(path)
+        share(w)
 
 
 def cmd_analyze(args):
     values, label = _analysis_input(args)
     table = statistic.verdict_table(values, args.s_list, args.exponents, label=label,
                                     proportional=args.proportional, collect_traces=True)
-    os.makedirs(args.out, exist_ok=True)
-    _write_traces([(os.path.join(args.out, f"trace_s{s}_e{e:g}.csv"), tr)
-                   for (s, e), tr in table.traces.items()])
-    with open(os.path.join(args.out, "verdicts.json"), "w") as fh:
-        fh.write(table.to_json())
-    _write_manifest(args.out, "analyze", args, [])
-    sys.stdout.write(table.to_tsv(os.path.join(args.out, "verdicts.tsv")))
+    tsv = table.to_tsv()
+    with _run_directory(args) as out:
+        _write_traces([(os.path.join(out, f"trace_s{s}_e{e:g}.csv"), tr)
+                       for (s, e), tr in table.traces.items()])
+        for name, text in (("verdicts.json", table.to_json()), ("verdicts.tsv", tsv)):
+            with open(os.path.join(out, name), "w") as fh:
+                fh.write(text)
+    sys.stdout.write(tsv)
     return EXIT_OK
 
 
 def cmd_estimate(args):
-    text = json.dumps({t.label: asdict(estimate_parameters(t))
-                       for t in tables_from_tsv(args.table)}, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text + "\n")
+    sys.stdout.write(json.dumps({t.label: asdict(estimate_parameters(t))
+                                 for t in tables_from_tsv(args.table)}, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -190,7 +192,7 @@ def cmd_table_predict(args):
     table = predict_table(args.sigma, alpha1, s_list=args.s_list,
                           exponent_list=args.exponents,
                           label=f"predicted_s{args.sigma:g}_a{args.alpha1}")
-    sys.stdout.write(table.to_tsv(args.out))
+    sys.stdout.write(table.to_tsv())
     return EXIT_OK
 
 
@@ -202,11 +204,10 @@ def cmd_verify(args):
     else:
         result = verify.tensor_suite(seed=args.seed)
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        result.to_tsv(os.path.join(args.out, f"{args.suite}_checks.tsv"))
-        for name, report in result.reports.items():
-            report.to_tsv(os.path.join(args.out, f"{args.suite}_{name}.tsv"))
-        _write_manifest(args.out, "verify", args, [args.seed])
+        with _run_directory(args) as out:
+            result.to_tsv(os.path.join(out, f"{args.suite}_checks.tsv"))
+            for name, report in result.reports.items():
+                report.to_tsv(os.path.join(out, f"{args.suite}_{name}.tsv"))
     for r in result.rows:
         sys.stdout.write(f"{'pass' if r.passed else 'FAIL'}\t{r.name}\t"
                          f"{r.value:.6g} {r.comparison} {r.limit:.6g}\n")
@@ -243,7 +244,6 @@ def build_parser():
 
     p = sub.add_parser("estimate", help="invert a verdict table into (sigma, alpha_1)")
     p.add_argument("--table", required=True, help="verdict table TSV")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("table-predict", help="forward-model a verdict table")
@@ -251,7 +251,6 @@ def build_parser():
     p.add_argument("--alpha1", default="inf")
     p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
     p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_table_predict)
 
     p = sub.add_parser("verify", help="run a numeric verification suite")

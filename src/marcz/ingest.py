@@ -37,9 +37,8 @@ def load_prices(path, column_name="Adj Close", label=None):
                     value = float(row[column_name])
                 except (TypeError, ValueError):
                     continue
-                if not math.isfinite(value):
-                    continue
-                prices.append(value)
+                if math.isfinite(value):
+                    prices.append(value)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     if not prices:

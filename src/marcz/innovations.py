@@ -84,8 +84,12 @@ def config_number(value, key, kind=float):
 
 def spec_from_config(cfg):
     """InnovationSpec from the flat `innovation` block of a config file."""
-    return InnovationSpec(
+    spec = InnovationSpec(
         family=cfg["family"],
         df_or_alpha=config_number(cfg["alpha"], "alpha") if "alpha" in cfg else math.nan,
         scale=config_number(cfg.get("scale", 1.0), "scale"),
     )
+    for key in cfg:
+        if key not in ("family", "alpha", "scale"):
+            raise ConfigurationError(f"unknown key {key!r}")
+    return spec

@@ -142,7 +142,7 @@ def marcinkiewicz_trace(x, s, exponent, cfg=RunningMeanConfig()):
 def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS):
     """Two-stage trailing-average rule: diverges unless the whole-window
     average exceeds 1.2x the last-half average and that exceeds 1.05x the
-    last-quarter average. A NaN mean diverges; an overflowing one raises."""
+    last-quarter average. A mean that is not finite (NaN or overflowed) raises."""
     f = trace.f
     need = cfg.start + offsets[1] + 1
     if f.size < need:
@@ -151,7 +151,7 @@ def convergence_verdict(trace, cfg=RunningMeanConfig(), offsets=TRAILING_OFFSETS
     # np.cumsum sums sequentially (np.mean pairwise), which keeps the means' bits
     with np.errstate(over="ignore"):
         mean_whole, mean_half, mean_quarter = (np.cumsum(v)[-1] / v.size for v in tails)
-    if any(map(math.isinf, (mean_whole, mean_half, mean_quarter))):
+    if not all(map(math.isfinite, (mean_whole, mean_half, mean_quarter))):
         raise DomainError(f"a mean of f leaves the float range; no verdict for s = {trace.s}")
     outcome = ("Converges" if mean_whole >= THRESHOLDS[0] * mean_half
                and mean_half >= THRESHOLDS[1] * mean_quarter else "Diverges")

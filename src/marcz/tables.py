@@ -53,15 +53,11 @@ class VerdictTable:
     def row(self, s):
         return [self.outcome(s, e) for e in self.exponent_list]
 
-    def to_tsv(self, path=None):
+    def to_tsv(self):
         lines = ["label\ts\t" + "\t".join(f"{e:g}" for e in self.exponent_list)]
         for s in self.s_list:
             lines.append(f"{self.label}\t{s}\t" + "\t".join(self.row(s)))
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return "\n".join(lines) + "\n"
 
     def to_json(self):
         return json.dumps({

@@ -150,12 +150,16 @@ class TestSimulateCmd:
          '"innovation": {"family": "gaussian"}}', "key 'sigma'"),
         ('{"s": 1' + "0" * 400 + ', "sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', None),
+        ('{"s": 2, "sigma": 0.8, "n": 256, "window": 512, "shareing": "independent", '
+         '"innovation": {"family": "gaussian"}}', "unknown key 'shareing'"),
+        ('{"sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian", "scal": 2.0}}', "unknown key 'scal'"),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
             "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
             "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
             "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
-            "scale_nan", "sigma_huge_int", "s_huge_int"])
+            "scale_nan", "sigma_huge_int", "s_huge_int", "sharing_typo", "innovation_scale_typo"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -471,12 +475,10 @@ class TestTraceWriters:
 
 
 class TestEstimateCmd:
-    def test_from_fixture_table(self, fixtures_dir, tmp_path, capsys):
-        out = tmp_path / "est.json"
-        rc = main(["estimate", "--table", f"{fixtures_dir}/table1.tsv",
-                   "--out", str(out)])
+    def test_from_fixture_table(self, fixtures_dir, capsys):
+        rc = main(["estimate", "--table", f"{fixtures_dir}/table1.tsv"])
         assert rc == 0
-        blob = json.loads(out.read_text())
+        blob = json.loads(capsys.readouterr().out)
         assert blob["Alcoa"]["sigma"]["value"] == pytest.approx(0.65)
         assert blob["Barrick Gold"]["alpha1"]["kind"] == "point"
         assert blob["McDonalds"]["sigma"]["value"] == pytest.approx(0.55)
@@ -572,9 +574,13 @@ class TestVerifyCmd:
     ["verify", "--suite", "kernel", "--radius", "5000"],
     ["verify", "--suite", "mslln", "--reps", "2"],
     ["verify", "--suite", "mslln", "--length", "8192"],
-], ids=["epsilon", "rho", "start", "radius", "reps", "length"])
+    ["estimate", "--table", "{path}", "--out", "estimate.json"],
+    ["table-predict", "--sigma", "0.7", "--out", "predicted.tsv"],
+], ids=["epsilon", "rho", "start", "radius", "reps", "length", "estimate_out",
+        "table_predict_out"])
 def test_procedure_constants_are_not_flags(tmp_path, capsys, argv):
-    # the verdict rule and the suites run the published constants only
+    # the verdict rule and the suites run the published constants only, and
+    # the table commands have one output, stdout: --out is a usage error there
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         main([a.format(path=tmp_path / "returns.csv") for a in argv] + ["--out", str(out)])

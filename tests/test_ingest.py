@@ -19,6 +19,12 @@ class TestLoadPrices:
         series = load_prices(f"{fixtures_dir}/prices.csv")
         assert series.adj_close.size == 5
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+    def test_non_finite_row_dropped(self, tmp_path, cell):
+        p = tmp_path / "prices.csv"
+        p.write_text(f"Date,Adj Close\n2020-01-01,1.5\n2020-01-02,{cell}\n2020-01-03,2.5\n")
+        assert load_prices(p).adj_close.tolist() == [1.5, 2.5]
+
     def test_header_only(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("Date,Adj Close\n")
@@ -165,3 +171,15 @@ def test_trace_write_memory(tmp_path):
         tracemalloc.stop()
     templates = sum(map(sys.getsizeof, _numbered_blocks(range(1, n + 1), ",%.17g\n")))
     assert peak - templates < 128 * _BLOCK_ROWS < path.stat().st_size / 8
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (load_prices, SchemaError, "no header row"),
+    (lambda path: log_returns(PriceSeries(adj_close=np.array([1.0]), label="one")),
+     LengthError, "two prices"),
+], ids=["no_header_row", "one_price"])
+def test_refusals(tmp_path, call, error, match):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(error, match=match):
+        call(path)

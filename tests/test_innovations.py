@@ -132,3 +132,13 @@ class TestTailCheck:
         short = oracles.tail_probe(x, 1.6, np.geomspace(1, 10, 10))
         long = oracles.tail_probe(x, 1.6, np.geomspace(1, 1000, 40))
         assert long > 1.5 * short
+
+
+@pytest.mark.parametrize("call", [
+    lambda: InnovationSpec("gaussian", scale=0.0),
+    lambda: InnovationSpec("student_t", 3.0, scale=-1.0),
+    lambda: spec_from_config({"family": "gaussian", "scal": 2.0}),
+], ids=["scale_0", "scale_negative", "unknown_key"])
+def test_refusals(call):
+    with pytest.raises(ConfigurationError):
+        call()

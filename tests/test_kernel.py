@@ -194,3 +194,10 @@ class TestBoundReport:
         lines = out.read_text().splitlines()
         assert lines[0] == "lag\tsum\tbound\tratio"
         assert len(lines) == 1 + 9
+
+
+@pytest.mark.parametrize("kwargs", [{"scale": 0.0}, {"scale": -1.0}, {"window": 0}],
+                         ids=["scale_0", "scale_negative", "window_0"])
+def test_coefficient_spec_refusals(kwargs):
+    with pytest.raises(ConfigurationError):
+        CoefficientSpec(sigma=0.75, **kwargs)

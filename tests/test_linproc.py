@@ -296,3 +296,15 @@ class TestTensor:
         with pytest.raises(SizeError):
             simulate_tensor_paths(_config(s=4, sigma=0.8, n=8, window=8),
                                   m=2, d_out=100, seed=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ProcessConfig(s=0, coeffs=(), innov=InnovationSpec("gaussian")),
+    lambda: ProcessConfig(s=2, coeffs=(CoefficientSpec(0.75),),
+                          innov=InnovationSpec("gaussian")),
+    lambda: _config(sharing="mixed"),
+    lambda: simulate_paths(_config(), 0, method="nope"),
+], ids=["s_0", "coefficient_count", "sharing", "method"])
+def test_refusals(call):
+    with pytest.raises(ConfigurationError):
+        call()

@@ -158,6 +158,13 @@ class TestEstimate:
         with pytest.raises(ConfigurationError):
             estimate_parameters(t2)
 
+    def test_missing_tail_rows(self, tables):
+        t = tables["Alcoa"]
+        t1 = type(t)(label="x", s_list=(1,), exponent_list=t.exponent_list,
+                     cells={k: v for k, v in t.cells.items() if k[0] == 1})
+        with pytest.raises(ConfigurationError, match="s >= 2"):
+            estimate_parameters(t1)
+
     def test_json_shape(self, tables):
         import json
         est = estimate_parameters(tables["Alcoa"])

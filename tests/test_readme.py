@@ -1,9 +1,12 @@
 import json
 import os
 import re
+import shlex
+
+import pytest
 
 from marcz import DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec, sample
-from marcz.cli import main
+from marcz.cli import build_parser, main
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -48,3 +51,19 @@ def test_run_directory_lists_analyze_files(tmp_path, capsys):
     assert main(["analyze", "--returns-csv", str(returns), "--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == sorted(
         set(listed) | {"manifest.json"})
+
+
+def test_cli_block_parses():
+    # a flag removed from the CLI must not stay in the README's examples
+    with open(README) as fh:
+        text = fh.read()
+    block = re.search(r"```sh\n(.*?)```", text[text.index("## CLI"):], re.S).group(1)
+    lines = [ln for ln in block.splitlines() if ln.startswith("marcz ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        command = re.sub(r"<\([^)]*\)", "returns.csv", line).split(" > ")[0]
+        try:
+            parser.parse_args(shlex.split(command)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

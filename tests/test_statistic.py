@@ -176,10 +176,11 @@ class TestVerdictRule:
         tr = marcinkiewicz_trace(np.zeros(2601), 1, 0.5)
         assert convergence_verdict(tr).outcome == "Converges"
 
-    def test_nan_trace_diverges(self):
+    def test_nan_trace_rejected(self):
         tr = marcinkiewicz_trace(np.zeros(2601), 1, 0.5)
         tr.f = np.full(2601, np.nan)
-        assert convergence_verdict(tr).outcome == "Diverges"
+        with pytest.raises(DomainError, match="no verdict for s = 1"):
+            convergence_verdict(tr)
 
     def test_short_trace_error(self):
         tr = marcinkiewicz_trace(np.zeros(100), 1, 0.5)
@@ -399,7 +400,7 @@ class TestVerdictTable:
             for e in table.exponent_list:
                 table.cells[(s, e)] = Verdict(rnd.choice(("Converges", "Diverges")))
         path = tmp_path / "table.tsv"
-        table.to_tsv(path)
+        path.write_text(table.to_tsv())
         assert tables_from_tsv(path) == [table]
 
     def test_fixture_parse(self, fixtures_dir):
@@ -433,3 +434,16 @@ class TestVerdictTable:
     def test_letter_property(self):
         assert Verdict(outcome="Converges").letter == "C"
         assert Verdict(outcome="Diverges").letter == "D"
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: RunningMeanConfig(epsilon=0.0), ConfigurationError),
+    (lambda: RunningMeanConfig(epsilon=1.0), ConfigurationError),
+    (lambda: RunningMeanConfig(rho=0.0), ConfigurationError),
+    (lambda: RunningMeanConfig(rho=1.0), ConfigurationError),
+    (lambda: RunningMeanConfig(start=0), ConfigurationError),
+    (lambda: ewma(np.array([]), 0.005), LengthError),
+], ids=["epsilon_0", "epsilon_1", "rho_0", "rho_1", "start_0", "ewma_empty"])
+def test_refusals(call, error):
+    with pytest.raises(error):
+        call()
