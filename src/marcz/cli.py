@@ -121,46 +121,11 @@ def _analysis_input(args):
 
 
 def _write_traces(jobs):
-    """Run `trace.to_csv(path)` for every (path, trace) of `jobs`, spread in
-    stride shares over up to one process per usable CPU.
+    """Run `trace.to_csv(path)` for every (path, trace) of `jobs`, from up to
+    one process per usable CPU (see `forked.forked_map`)."""
+    from .forked import forked_map  # only analyze forks, so only it loads the helper
 
-    The parent writes share 0 and forks one child per other share; a child
-    ends with os._exit(0), or os._exit(1) on a failure, so it never returns
-    into the caller or flushes the parent's buffers. Without os.fork or
-    os.sched_getaffinity the one share runs in-process. Once every child is
-    reaped, the parent writes each failed child's share again itself: a
-    failure that persists raises there, and a transient one (a killed
-    child, a disk with space again) leaves every trace written.
-    """
-    cpus = (os.sched_getaffinity(0)
-            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else (0,))
-    workers = max(1, min(len(cpus), len(jobs)))
-
-    def share(w):
-        for path, trace in jobs[w::workers]:
-            trace.to_csv(path)
-    children = {}
-    try:
-        for w in range(1, workers):
-            with warnings.catch_warnings():
-                # Python >= 3.12 warns on fork in a threaded process, and
-                # numpy's idle BLAS pool counts; the child only formats text
-                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                        DeprecationWarning)
-                pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    share(w)
-                    status = 0
-                finally:
-                    os._exit(status)
-            children[pid] = w
-        share(0)
-    finally:
-        failed = [w for pid, w in children.items() if os.waitpid(pid, 0)[1]]
-    for w in failed:
-        share(w)
+    forked_map(lambda job: job[1].to_csv(job[0]), jobs)
 
 
 def cmd_analyze(args):
@@ -269,6 +234,10 @@ def main(argv=None):
                          ("--full-series", args.full_series)):
             if on:
                 parser.error(f"argument {flag}: not allowed with argument --returns-csv")
+        # a pipe's name (/dev/fd/63) is no label for its verdict table
+        if (args.label is None and os.path.exists(args.returns_csv)
+                and not os.path.isfile(args.returns_csv)):
+            parser.error("argument --label: required when --returns-csv is not a regular file")
     elif args.command == "analyze" and args.column is None:
         args.column = "Adj Close"  # manifest.json records the column read
     try:

@@ -10,7 +10,8 @@ import numpy as np
 from .errors import ConfigurationError
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
-from .linproc import DEFAULT_WINDOW, ProcessConfig, simulate_paths, simulate_tensor_paths
+from .linproc import (DEFAULT_WINDOW, ProcessConfig, _component_paths, simulate_paths,
+                      simulate_tensor_paths)
 from .statistic import _partial_sums
 
 
@@ -71,12 +72,19 @@ def _ratio_medians(draw, mean_abs, n, reps, seed, p_values, compare_at):
         raise ConfigurationError(f"n={n} must exceed compare_at={compare_at}")
     if not all(0.0 < 1.0 / p <= 1.0 for p in p_values):
         raise ConfigurationError(f"every p must be >= 1 and finite, got {p_values}")
+    from .forked import forked_map  # the kernel and tensor suites never load it
+
     # f(k) = |sum_{j<=k} (|x_j| - mean_abs)| / k^(1/p), read at k = compare_at and n
+    def rep_sums(r):
+        return _partial_sums(np.abs(draw(seed * 100003 + r)), mean_abs)[[compare_at - 1, n - 1]]
+
     at = np.array([compare_at, n], dtype=np.float64)
     norms = {p: at ** (1.0 / p) for p in p_values}
     ratios = {p: [] for p in p_values}
-    for r in range(reps):
-        sums = _partial_sums(np.abs(draw(seed * 100003 + r)), mean_abs)[[compare_at - 1, n - 1]]
+    # the reps run across processes, forked before the first draw, so each
+    # process builds its own kernel-spectrum cache entry; the ratios and
+    # medians are formed here in rep order, as a serial loop would
+    for sums in forked_map(rep_sums, range(reps)):
         for p in p_values:
             f_at, f_n = sums / norms[p]
             ratios[p].append(f_n / f_at)
@@ -93,7 +101,9 @@ def lrd_ratio_medians(sigma=0.8, window=DEFAULT_WINDOW, n=2 ** 16, reps=32, seed
     mean_abs = math.sqrt(2.0 * np.sum(kern ** 2) / math.pi)
     cfg = ProcessConfig(s=1, coeffs=(spec,), innov=innov, sharing="shared",
                         length=n, window=window)
-    return _ratio_medians(lambda sd: simulate_paths(cfg, sd).x[0], mean_abs, n,
+    # the component path alone: the x copy and d product of simulate_paths
+    # would only raise the peak memory of every process drawing reps
+    return _ratio_medians(lambda sd: _component_paths(cfg, 0, sd)[0], mean_abs, n,
                           reps, seed, p_values, compare_at)
 
 

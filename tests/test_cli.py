@@ -349,6 +349,25 @@ class TestAnalyzeCmd:
         for trace in traces:
             assert len(trace.read_text().splitlines()) == 2601 + 1, trace.name
 
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_returns_need_label(self, tmp_path, capsys):
+        # a pipe's name (/dev/fd/N) would label the verdict table N; the
+        # write end is closed, so a read would meet EOF rather than block
+        r, w = os.pipe()
+        os.close(w)
+        out = tmp_path / "analysis"
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--returns-csv", f"/dev/fd/{r}", "--out", str(out)])
+        finally:
+            os.close(r)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("argument --label: required when --returns-csv is not a regular file"
+                in captured.err)
+        assert not out.exists()
+
     def test_refused_series_leaves_no_run_directory(self, tmp_path, capsys):
         # the grid refuses the series before the run directory is made
         rets = tmp_path / "returns.csv"
@@ -611,10 +630,27 @@ def test_cli_import_loads_numpy_only():
     code = ("import sys, marcz.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] in ('scipy', 'numba', 'multiprocessing', "
-            "'concurrent')))")
+            "'concurrent', 'pickle')))")
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_library_pipeline_skips_fork_helper():
+    # the Monte Carlo path of the library (simulate, grid, invert) never loads
+    # marcz.forked; the mslln ratio medians do, so the check can see it
+    code = ("import sys, marcz; "
+            "spec = marcz.CoefficientSpec(sigma=0.8, window=2 ** 9); "
+            "cfg = marcz.ProcessConfig(s=1, coeffs=(spec,), "
+            "innov=marcz.InnovationSpec('gaussian'), length=2601, window=2 ** 9); "
+            "table = marcz.verdict_table(marcz.simulate_paths(cfg, 0).x[0], label='mc'); "
+            "marcz.estimate_parameters(table); "
+            "before = 'marcz.forked' in sys.modules; "
+            "marcz.ht_ratio_medians(n=64, reps=1, compare_at=32); "
+            "print(before, 'marcz.forked' in sys.modules)")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False True"
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
 
-from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, sample,
-                   simulate_paths)
+from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, coefficient_array,
+                   sample, simulate_paths)
 from marcz.errors import ConfigurationError
-from marcz.verify import _ratio_medians
+from marcz.verify import _ratio_medians, ht_ratio_medians, lrd_ratio_medians
 
 import oracles
 
@@ -50,3 +53,25 @@ def test_ratio_medians_reject_bad_p(p, reps, n):
     # where every ratio f(n)/f(compare_at) would be 1
     with pytest.raises(ConfigurationError):
         _ratio_medians(_pareto_draw(64), 3.0, n, reps, 0, (1.2, p), 32)
+
+
+@pytest.mark.parametrize("family", ["lrd", "ht"])
+def test_forked_reps_match_serial_loop(monkeypatch, family):
+    # three usable CPUs are claimed, so that two children draw on any runner;
+    # the serial loop draws through simulate_paths and sample themselves
+    n, reps, seed, compare_at = 2 ** 12, 7, 5, 2 ** 9
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    if family == "lrd":
+        got = lrd_ratio_medians(sigma=0.8, window=2 ** 9, n=n, reps=reps, seed=seed,
+                                compare_at=compare_at)
+        kern = coefficient_array(CoefficientSpec(sigma=0.8, window=2 ** 9))
+        draw, mean_abs = _lrd_draw(n), math.sqrt(2.0 * np.sum(kern ** 2) / math.pi)
+    else:
+        got = ht_ratio_medians(alpha=1.5, n=n, reps=reps, seed=seed, compare_at=compare_at)
+        draw, mean_abs = _pareto_draw(n), 3.0
+    assert len(forks) == 2
+    want = _full_trace_medians(draw, mean_abs, n, reps, seed, tuple(got), compare_at)
+    assert list(got) == list(want)
+    assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
