@@ -3,7 +3,9 @@
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -25,15 +27,28 @@ EXIT_VERIFY = 4
 
 @contextmanager
 def _run_directory(args):
-    """Create `args.out` for the block's files, then write manifest.json last."""
-    os.makedirs(args.out, exist_ok=True)
-    yield args.out
-    manifest = {"tool": "marcz", "version": __version__, "command": args.command,
-                "args": {k: v for k, v in vars(args).items() if k != "func"},
-                "seeds": [args.seed] if "seed" in args else [],
-                "timestamp": datetime.now(timezone.utc).isoformat()}
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+    """Build the block's files and manifest.json in a fresh sibling of
+    `args.out`, then rename it onto `args.out`; a failure removes the sibling."""
+    out = os.path.abspath(args.out)
+    if os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
+        raise ConfigurationError(f"--out {args.out}: exists and is not an empty directory")
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    tmp = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", dir=os.path.dirname(out))
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o777 & ~umask)  # the mode os.makedirs gives
+        yield tmp
+        manifest = {"tool": "marcz", "version": __version__, "command": args.command,
+                    "args": {k: v for k, v in vars(args).items() if k != "func"},
+                    "seeds": [args.seed] if "seed" in args else [],
+                    "timestamp": datetime.now(timezone.utc).isoformat()}
+        with open(os.path.join(tmp, "manifest.json"), "w") as fh:
+            json.dump(manifest, fh, indent=2, default=str)
+        os.rename(tmp, out)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
 
 
 def _parse_float_list(text):
@@ -55,17 +70,16 @@ def _load_process_config(path):
     number = innovations.config_number
     try:
         for key in raw:
-            if key not in ("s", "sigma", "sigmas", "scale", "center_value", "window",
-                           "innovation", "sharing", "n"):
+            if key not in ("s", "sigma", "sigmas", "center_value", "window", "innovation",
+                           "sharing", "n"):
                 raise ConfigurationError(f"unknown key {key!r}")
         s = number(raw.get("s", 1), "s", int)
         sigmas = raw["sigmas"] if "sigmas" in raw else [number(raw["sigma"], "sigma")] * s
         if "sigmas" in raw and (type(sigmas) is not list or len(sigmas) != s):
             raise ConfigurationError(f"key 'sigmas' must list s = {s} numbers, got {sigmas!r}")
-        scale = number(raw.get("scale", 1.0), "scale")
         center_value = number(raw.get("center_value", 1.0), "center_value")
         window = number(raw.get("window", linproc.DEFAULT_WINDOW), "window", int)
-        coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigmas"), scale=scale,
+        coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigmas"),
                                               center_value=center_value, window=window)
                        for sg in sigmas)
         return linproc.ProcessConfig(
@@ -81,7 +95,7 @@ def _load_process_config(path):
 def cmd_simulate(args):
     config = _load_process_config(args.config)
     ens = linproc.simulate_paths(config, args.seed)
-    for w in ens.warnings:
+    for w in config.moment_warnings():
         sys.stderr.write(f"warning: {w}\n")
     with _run_directory(args) as out:
         linproc.ensemble_to_binary(ens, os.path.join(out, "ensemble.bin"),
@@ -120,22 +134,15 @@ def _analysis_input(args):
     return returns, series.label
 
 
-def _write_traces(jobs):
-    """Run `trace.to_csv(path)` for every (path, trace) of `jobs`, from up to
-    one process per usable CPU (see `forked.forked_map`)."""
-    from .forked import forked_map  # only analyze forks, so only it loads the helper
-
-    forked_map(lambda job: job[1].to_csv(job[0]), jobs)
-
-
 def cmd_analyze(args):
     values, label = _analysis_input(args)
     table = statistic.verdict_table(values, args.s_list, args.exponents, label=label,
                                     proportional=args.proportional, collect_traces=True)
     tsv = table.to_tsv()
     with _run_directory(args) as out:
-        _write_traces([(os.path.join(out, f"trace_s{s}_e{e:g}.csv"), tr)
-                       for (s, e), tr in table.traces.items()])
+        from .forked import forked_map  # only a command that forks loads the helper
+        forked_map(lambda tr: tr.to_csv(os.path.join(out, f"trace_s{tr.s}_e{tr.exponent:g}.csv")),
+                   list(table.traces.values()))
         for name, text in (("verdicts.json", table.to_json()), ("verdicts.tsv", tsv)):
             with open(os.path.join(out, name), "w") as fh:
                 fh.write(text)

@@ -19,18 +19,15 @@ _NEAR_LAGS = 32
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Symmetric coefficient family c_l = scale * |l|^(-sigma), c_0 = center_value."""
+    """Symmetric coefficient family c_l = |l|^(-sigma), c_0 = center_value."""
 
     sigma: float
-    scale: float = 1.0
     center_value: float = 1.0
     window: int = DEFAULT_WINDOW
 
     def __post_init__(self):
         if not 0.5 < self.sigma <= 1.0:
             raise ConfigurationError(f"sigma must lie in (0.5, 1.0], got {self.sigma}")
-        if self.scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {self.scale}")
         if self.window < 1:
             raise ConfigurationError(f"window must be >= 1, got {self.window}")
 
@@ -49,7 +46,6 @@ def coefficient_array(spec):
     """Dense coefficient vector for l = -M..M, M = spec.window."""
     M = spec.window
     c = _powers(spec.sigma, -M, M)
-    c *= spec.scale
     c[M] = spec.center_value
     return c
 

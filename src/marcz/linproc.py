@@ -3,7 +3,7 @@ tensor-product variant."""
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,20 +50,20 @@ class ProcessConfig:
 
 @dataclass
 class PathEnsemble:
+    """The paths simulate_paths drew for `config` and `seed`."""
+
     x: np.ndarray          # s x n component paths
     d: np.ndarray          # length-n products
     config: ProcessConfig
     seed: int
-    truncation_bound: float
-    warnings: list = field(default_factory=list)
 
 
 def truncation_error_bound(spec):
     """L2 tail bound on the coefficients beyond M = spec.window per unit
-    innovation variance: scale^2 * 2 * M^(1-2*sigma) / (2*sigma - 1)."""
+    innovation variance: 2 * M^(1-2*sigma) / (2*sigma - 1)."""
     if spec.sigma <= 0.5:
         raise DomainError("series diverges for sigma <= 0.5")
-    return spec.scale ** 2 * 2.0 * spec.window ** (1.0 - 2.0 * spec.sigma) / (
+    return 2.0 * spec.window ** (1.0 - 2.0 * spec.sigma) / (
         2.0 * spec.sigma - 1.0)
 
 
@@ -99,7 +99,7 @@ def _component_paths(config, r, seed, rows=1, method="fft"):
 def simulate_paths(config, seed, method="fft"):
     """Simulate the s component paths by truncated convolution; with shared
     streams, components with equal spec are computed once. Moment-condition
-    violations are reported in the ensemble's `warnings` only."""
+    violations are listed by `config.moment_warnings()`."""
     x = np.empty((config.s, config.length))
     first_row = {}  # coefficient spec -> row holding its path, for shared streams
     for r, spec in enumerate(config.coeffs):
@@ -108,10 +108,7 @@ def simulate_paths(config, seed, method="fft"):
             continue
         first_row[spec] = r
         x[r] = _component_paths(config, r, seed, method=method)[0]
-    bound = max(truncation_error_bound(c) for c in config.coeffs)
-    return PathEnsemble(
-        x=x, d=np.prod(x, axis=0), config=config, seed=seed,
-        truncation_bound=bound, warnings=config.moment_warnings())
+    return PathEnsemble(x=x, d=np.prod(x, axis=0), config=config, seed=seed)
 
 
 def ensemble_to_tsv(ensemble, path):
@@ -132,12 +129,11 @@ def ensemble_to_binary(ensemble, bin_path, sidecar_path):
         "window": cfg.window,
         "sharing": cfg.sharing,
         "sigmas": [c.sigma for c in cfg.coeffs],
-        "scales": [c.scale for c in cfg.coeffs],
         "center_values": [c.center_value for c in cfg.coeffs],
         "innovation": {"family": cfg.innov.family, "scale": cfg.innov.scale,
                        "alpha": None if cfg.innov.family == "gaussian" else cfg.innov.df_or_alpha},
         "seed": ensemble.seed,
-        "truncation_bound": ensemble.truncation_bound,
+        "truncation_bound": max(truncation_error_bound(c) for c in cfg.coeffs),
         "layout": {"rows": cfg.s + 1, "cols": cfg.length, "order": "x_1..x_s,d",
                    "dtype": "<f8"},
     }

@@ -1,10 +1,14 @@
 """Reference forms the tests compare the library against: the statistic
-rebuilt step by step with plain numpy, the scalar coefficient, the kernel
-cross sum as direct dot products, and the Hill tail-index estimator."""
+rebuilt step by step with plain numpy, the verdict rule's envelope exponent,
+the scalar coefficient, the kernel cross sum as direct dot products, and the
+Hill tail-index estimator."""
+
+import math
 
 import numpy as np
 
-from marcz.statistic import RunningMeanConfig, ewma
+from marcz.statistic import (PAPER_LENGTH, THRESHOLDS, TRAILING_OFFSETS,
+                             RunningMeanConfig, ewma)
 
 
 def trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
@@ -24,12 +28,34 @@ def trace(x, s, exponent, cfg=RunningMeanConfig(), mu=None, m=None):
     return np.abs(np.cumsum(residual - m)) / k ** exponent
 
 
+def envelope_exponent(n=PAPER_LENGTH, start=RunningMeanConfig().start,
+                      offsets=TRAILING_OFFSETS):
+    """The least beta for which the verdict rule reads the pure power
+    f(k) = k^(-beta), k = 1..n, as Converges: the larger root of
+    mean(whole)/mean(half) = THRESHOLDS[0] and mean(half)/mean(quarter) =
+    THRESHOLDS[1], with the tails from k = start, start + offsets[0] and
+    start + offsets[1]. Each root comes from Newton's method on the log
+    ratio of the exact sums."""
+    logk = np.log(np.arange(1, n + 1, dtype=np.float64))
+    whole, half, quarter = (start - 1 + o for o in (0, *offsets))
+
+    def root(a, b, threshold):
+        beta = 0.5
+        for _ in range(20):
+            wa, wb = np.exp(-beta * logk[a:]), np.exp(-beta * logk[b:])
+            g = math.log(wa.mean() / wb.mean() / threshold)
+            beta -= g / ((logk[b:] @ wb) / wb.sum() - (logk[a:] @ wa) / wa.sum())
+        return beta
+
+    return max(root(whole, half, THRESHOLDS[0]), root(half, quarter, THRESHOLDS[1]))
+
+
 def coefficient(spec, l):
     """c_l of the symmetric family, one index at a time: center_value at
-    l = 0, else scale * |l|^(-sigma)."""
+    l = 0, else |l|^(-sigma)."""
     if l == 0:
         return spec.center_value
-    return spec.scale * abs(l) ** -spec.sigma
+    return abs(l) ** -spec.sigma
 
 
 def cross_sums(gamma_left, gamma_right, lags, radius):

@@ -130,8 +130,6 @@ class TestSimulateCmd:
          "key 'window'"),
         ('{"sigma": true, "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
          "key 'sigma'"),
-        ('{"sigma": 0.8, "scale": true, "n": 256, "window": 512, '
-         '"innovation": {"family": "gaussian"}}', "key 'scale'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "student_t", "alpha": true}}', "key 'alpha'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
@@ -144,8 +142,8 @@ class TestSimulateCmd:
          '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
         ('{"sigma": 0.8, "center_value": "1", "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', "key 'center_value'"),
-        ('{"sigma": 0.8, "scale": NaN, "n": 256, "window": 512, '
-         '"innovation": {"family": "gaussian"}}', "key 'scale'"),
+        ('{"sigma": 0.8, "scale": 2.0, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "unknown key 'scale'"),
         ('{"sigma": 1' + "0" * 400 + ', "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', "key 'sigma'"),
         ('{"s": 1' + "0" * 400 + ', "sigma": 0.8, "n": 256, "window": 512, '
@@ -157,9 +155,9 @@ class TestSimulateCmd:
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
             "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
-            "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
+            "sigma_bool", "alpha_bool", "innovation_scale_string",
             "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
-            "scale_nan", "sigma_huge_int", "s_huge_int", "sharing_typo", "innovation_scale_typo"])
+            "scale_removed", "sigma_huge_int", "s_huge_int", "sharing_typo", "innovation_scale_typo"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -217,7 +215,7 @@ class TestAnalyzeCmd:
         stdout = []
         for flags in ([], ["--proportional"]):
             assert main(["analyze", "--returns-csv", str(rets), *flags,
-                         "--out", str(tmp_path / "x")]) == 0
+                         "--out", str(tmp_path / f"x{len(stdout)}")]) == 0
             stdout.append(capsys.readouterr().out)
         assert stdout[0] == stdout[1]
 
@@ -266,7 +264,7 @@ class TestAnalyzeCmd:
         returns = log_returns(load_prices(p))
         assert len(returns) == 2801
         for flags, values in (([], select_window(returns)), (["--full-series"], returns)):
-            out = tmp_path / "out"
+            out = tmp_path / f"out{len(flags)}"
             assert main(["analyze", "--input", str(p), *flags, "--out", str(out)]) == 0
             assert capsys.readouterr().out == verdict_table(values, label=str(p)).to_tsv()
             trace = (out / "trace_s1_e0.5.csv").read_text().splitlines()
@@ -377,6 +375,40 @@ class TestAnalyzeCmd:
         assert "series is constant" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_second_run_refused(self, tmp_path, capsys):
+        # a run directory holds one finished run: a second run into it is
+        # refused and leaves the first run's files as they were
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        rc = main(["analyze", "--returns-csv", str(rets), "--s-list", "2",
+                   "--exponents", "0.7", "--out", str(out)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out}: exists and is not an empty "
+                                "directory\n")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert len(first) == 2 + 18 + 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["analysis", "returns.csv"]
+
+    def test_empty_out_replaced(self, tmp_path, capsys):
+        # an empty --out is taken over, and the run directory gets the mode
+        # that os.makedirs gives
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        out, made = tmp_path / "analysis", tmp_path / "made"
+        out.mkdir()
+        os.makedirs(made)
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
+        assert (out / "manifest.json").exists()
+        assert out.stat().st_mode == made.stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "analysis", "made", "returns.csv"]
+
     @pytest.mark.parametrize("argv", [["--s-list", "1,1"], ["--exponents", "0.5,0.5"]])
     def test_repeated_grid_value_exit_code(self, tmp_path, capsys, argv):
         rets = tmp_path / "returns.csv"
@@ -437,11 +469,20 @@ class TestTraceWriters:
     # 1, 4, ... of the grid in (s, e) order
     @pytest.mark.parametrize("name", ["trace_s1_e0.5.csv", "trace_s1_e0.6.csv"],
                              ids=["parent_share", "child_share"])
-    def test_write_failure_exit_code(self, tmp_path, capsys, forks, name):
+    def test_write_failure_exit_code(self, tmp_path, capsys, forks, monkeypatch, name):
+        # the trace fails in every process that writes it, so the parent's
+        # second try raises, and the half-built run directory is removed
+        to_csv = MarcTrace.to_csv
+
+        def failing(self, path):
+            if os.path.basename(path) == name:
+                raise IsADirectoryError(21, "Is a directory", path)
+            to_csv(self, path)
+
+        monkeypatch.setattr(MarcTrace, "to_csv", failing)
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
         out = tmp_path / "analysis"
-        (out / name).mkdir(parents=True)
         rc = main(["analyze", "--returns-csv", str(rets), "--out", str(out)])
         assert rc == 3
         assert len(forks) == 2
@@ -450,7 +491,7 @@ class TestTraceWriters:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
         assert name in captured.err
-        assert not (out / "verdicts.tsv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["returns.csv"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -568,6 +609,21 @@ class TestVerifyCmd:
         assert (tmp_path / "v" / "tensor_checks.tsv").exists()
         assert "pass" in capsys.readouterr().out
 
+    def test_mslln_suite(self, tmp_path, capsys):
+        # the rows' values are the suite's own checks: only their passes are read
+        out = tmp_path / "v"
+        assert main(["verify", "--suite", "mslln", "--out", str(out)]) == 0
+        names = ["lrd sigma=0.8 median ratio p=1.2", "lrd sigma=0.8 median ratio p=1.8",
+                 "ht alpha=1.5 ordering p=1.3 vs p=1.8", "ht alpha=1.5 median ratio p=1.3",
+                 "ht alpha=1.5 median ratio p=1.8"]
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert [row[:2] for row in rows] == [["pass", name] for name in names]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "mslln_checks.tsv"]
+        lines = (out / "mslln_checks.tsv").read_text().splitlines()
+        assert lines[0] == "check\tvalue\tlimit\tcomparison\tpassed"
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [(name, "pass") for name in names]
+
     def test_kernel_suite_full_radius(self, tmp_path, capsys):
         out = tmp_path / "v"
         assert main(["verify", "--suite", "kernel", "--out", str(out)]) == 0
@@ -680,7 +736,10 @@ def test_table_commands_skip_numpy(fixtures_dir, argv):
     "import marcz; from marcz import *; "
     "assert all(globals()[n] is getattr(marcz, n) for n in marcz.__all__); "
     "assert simulate_paths.__module__ == 'marcz.linproc'",
-], ids=["package_attribute", "submodule_import", "star_import"])
+    "import marcz; names = dir(marcz); "
+    "assert {'verdict_table', 'simulate_paths', 'mslln_suite', 'kernel'} <= set(names); "
+    "assert set(marcz.__all__) <= set(names) and names == sorted(names)",
+], ids=["package_attribute", "submodule_import", "star_import", "dir_lists_lazy_names"])
 def test_lazy_names_resolve(code):
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr

@@ -96,8 +96,7 @@ def _trace_bytes(path, a, b=None):
 
 
 def _ensemble_bytes(path, a, b):
-    ens = PathEnsemble(x=np.vstack([a, b]), d=a * b, config=None, seed=0,
-                       truncation_bound=0.0)
+    ens = PathEnsemble(x=np.vstack([a, b]), d=a * b, config=None, seed=0)
     ensemble_to_tsv(ens, path)
     return "k\tx_1\tx_2\td\n" + "".join(
         f"{k + 1}\t{a[k]:.17g}\t{b[k]:.17g}\t{a[k] * b[k]:.17g}\n" for k in range(a.size))

@@ -23,8 +23,8 @@ class TestCoefficient:
         assert arr[4 - 4] == pytest.approx(0.25)
 
     def test_center_value(self):
-        spec = CoefficientSpec(sigma=0.6, scale=2.0, center_value=1.0, window=8)
-        assert coefficient_array(spec)[8] == 1.0
+        spec = CoefficientSpec(sigma=0.6, center_value=0.25, window=8)
+        assert coefficient_array(spec)[8] == 0.25
 
     def test_invalid_sigma(self):
         with pytest.raises(ConfigurationError):
@@ -46,11 +46,11 @@ class TestCoefficient:
             assert arr[l + 50] == oracles.coefficient(spec, l)
 
     def test_sup_norm(self):
-        spec = CoefficientSpec(sigma=0.7, scale=1.5, window=200)
+        spec = CoefficientSpec(sigma=0.7, window=200)
         arr = coefficient_array(spec)
         l = np.arange(-200, 201, dtype=np.float64)
         vals = np.abs(l) ** spec.sigma * np.abs(arr)
-        assert np.max(vals[l != 0]) == pytest.approx(spec.scale)
+        assert np.max(vals[l != 0]) == pytest.approx(1.0)
 
 
 class TestLemmaBound:
@@ -196,8 +196,7 @@ class TestBoundReport:
         assert len(lines) == 1 + 9
 
 
-@pytest.mark.parametrize("kwargs", [{"scale": 0.0}, {"scale": -1.0}, {"window": 0}],
-                         ids=["scale_0", "scale_negative", "window_0"])
+@pytest.mark.parametrize("kwargs", [{"window": 0}], ids=["window_0"])
 def test_coefficient_spec_refusals(kwargs):
     with pytest.raises(ConfigurationError):
         CoefficientSpec(sigma=0.75, **kwargs)

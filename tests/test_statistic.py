@@ -12,7 +12,8 @@ from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec,
                    ewma, marcinkiewicz_trace, sample, tables_from_tsv,
                    verdict_table)
 from marcz.errors import ConfigurationError, DomainError, LengthError
-from marcz.statistic import PAPER_LENGTH, THRESHOLDS, TRAILING_OFFSETS, MarcTrace
+from marcz.statistic import (PAPER_LENGTH, THRESHOLDS, TRAILING_OFFSETS, MarcTrace,
+                             _partial_sums)
 
 import oracles
 
@@ -200,6 +201,50 @@ class TestVerdictRule:
         means = (v.mean_whole, v.mean_half, v.mean_quarter)
         for mean, tail in zip(means, (tr.f, tr.f[1:], tr.f[2:])):
             assert mean == pytest.approx(np.mean(tail), abs=1e-9)
+
+
+class TestWhatTheTraceMeasures:
+    """The summand r_j - m_j, with m the EWMA of the residual r, equals
+    ((1 - rho)/rho)(m_j - m_{j-1}), so the partial sum telescopes to
+    ((1 - rho)/rho)|m_k - m_1|, and the rule reads that curve under k^(-e)."""
+
+    @given(st.sampled_from(["student_t", "gaussian", "signed_lomax"]),
+           st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3]),
+           st.floats(min_value=0.001, max_value=0.1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_partial_sum_telescopes(self, family, seed, s, rho):
+        rng = np.random.default_rng(seed)
+        x = {"student_t": lambda: 0.01 * rng.standard_t(3, PAPER_LENGTH),
+             "gaussian": lambda: rng.standard_normal(PAPER_LENGTH),
+             "signed_lomax": lambda: rng.pareto(1.5, PAPER_LENGTH)
+             * rng.choice([-1.0, 1.0], PAPER_LENGTH)}[family]()
+        r = np.abs(x - ewma(x, RunningMeanConfig().epsilon)) ** s
+        m = ewma(r, rho)
+        sums = _partial_sums(r, m)
+        telescoped = (1.0 - rho) / rho * np.abs(m - m[0])
+        # 1.3e-13 was the largest seen over 1500 such series
+        assert np.max(np.abs(sums - telescoped)) <= 1e-12 * np.max(sums)
+
+    @pytest.mark.parametrize("n", [PAPER_LENGTH, 2 ** 16], ids=["paper", "proportional_2^16"])
+    def test_envelope_exponent_matches_bisection(self, n):
+        # the windows verdict_table(proportional=True) uses at n
+        factor = n / PAPER_LENGTH
+        cfg = RunningMeanConfig(start=round(RunningMeanConfig().start * factor))
+        offsets = tuple(round(o * factor) for o in TRAILING_OFFSETS)
+        k = np.arange(1, n + 1, dtype=np.float64)
+        lo, hi = 0.0, 2.0
+        while hi - lo > 1e-12:
+            mid = (lo + hi) / 2
+            tr = MarcTrace(s=1, exponent=0.5, f=k ** -mid)
+            if convergence_verdict(tr, cfg, offsets).outcome == "Converges":
+                hi = mid
+            else:
+                lo = mid
+        assert oracles.envelope_exponent(n, cfg.start, offsets) == pytest.approx(hi, abs=1e-11)
+
+    def test_envelope_exponent_value(self):
+        # the README's figure: e = 0.5 clears it, so a flat |m_k - m_1| reads C there
+        assert round(oracles.envelope_exponent(), 5) == 0.48929
 
 
 class TestVerdictTable:
