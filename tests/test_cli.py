@@ -130,6 +130,8 @@ class TestSimulateCmd:
          "key 'window'"),
         ('{"sigma": true, "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
          "key 'sigma'"),
+        ('{"sigma": 0.8, "scale": true, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "unknown key 'scale'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "student_t", "alpha": true}}', "key 'alpha'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
@@ -142,6 +144,8 @@ class TestSimulateCmd:
          '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
         ('{"sigma": 0.8, "center_value": "1", "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', "key 'center_value'"),
+        ('{"sigma": 0.8, "scale": NaN, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "unknown key 'scale'"),
         ('{"sigma": 0.8, "scale": 2.0, "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', "unknown key 'scale'"),
         ('{"sigma": 1' + "0" * 400 + ', "n": 256, "window": 512, '
@@ -155,9 +159,10 @@ class TestSimulateCmd:
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
             "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
-            "sigma_bool", "alpha_bool", "innovation_scale_string",
+            "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
             "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
-            "scale_removed", "sigma_huge_int", "s_huge_int", "sharing_typo", "innovation_scale_typo"])
+            "scale_nan", "scale_removed", "sigma_huge_int", "s_huge_int", "sharing_typo",
+            "innovation_scale_typo"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
