@@ -14,7 +14,7 @@ import sys
 __version__ = "0.1.0"
 
 from .errors import (ConfigurationError, DomainError, EmptyDataError, LengthError,
-                     MarczError, SchemaError, SizeError)
+                     MarczError, SchemaError)
 from .tables import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable,
                      tables_from_tsv)
 from .rates import (EstimateValue, ParamEstimate, estimate_parameters,
@@ -25,7 +25,7 @@ _LAZY_EXPORTS = {
                "verify_kernel_bound"),
     "innovations": ("InnovationSpec", "sample", "spec_from_config", "tail_coefficient"),
     "linproc": ("PathEnsemble", "ProcessConfig", "ensemble_to_binary", "ensemble_to_tsv",
-                "simulate_paths", "simulate_tensor_paths", "truncation_error_bound"),
+                "simulate_paths", "truncation_error_bound"),
     "statistic": ("MarcTrace", "RunningMeanConfig", "convergence_verdict", "ewma",
                   "marcinkiewicz_trace", "verdict_table"),
     "ingest": ("PriceSeries", "load_prices", "log_returns", "select_window"),
@@ -65,7 +65,7 @@ def __dir__():
 
 __all__ = [
     "ConfigurationError", "DomainError", "EmptyDataError", "LengthError",
-    "MarczError", "SchemaError", "SizeError",
+    "MarczError", "SchemaError",
     "DEFAULT_EXPONENTS", "DEFAULT_S_LIST", "Verdict", "VerdictTable", "tables_from_tsv",
     "EstimateValue", "ParamEstimate", "estimate_parameters", "predict_table",
     "rate_bound", *_ORIGIN,

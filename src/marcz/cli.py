@@ -28,10 +28,10 @@ EXIT_VERIFY = 4
 @contextmanager
 def _run_directory(args):
     """Build the block's files and manifest.json in a fresh sibling of
-    `args.out`, then rename it onto `args.out`; a failure removes the sibling."""
+    `args.out`, then rename it onto `args.out`; a failure removes the sibling.
+    `main` refuses a non-empty `args.out` before the work, and the rename
+    refuses one that appeared since."""
     out = os.path.abspath(args.out)
-    if os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
-        raise ConfigurationError(f"--out {args.out}: exists and is not an empty directory")
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", dir=os.path.dirname(out))
     try:
@@ -74,6 +74,8 @@ def _load_process_config(path):
                            "sharing", "n"):
                 raise ConfigurationError(f"unknown key {key!r}")
         s = number(raw.get("s", 1), "s", int)
+        if "sigmas" in raw and "sigma" in raw:
+            raise ConfigurationError("key 'sigmas' and key 'sigma' both given; give one")
         sigmas = raw["sigmas"] if "sigmas" in raw else [number(raw["sigma"], "sigma")] * s
         if "sigmas" in raw and (type(sigmas) is not list or len(sigmas) != s):
             raise ConfigurationError(f"key 'sigmas' must list s = {s} numbers, got {sigmas!r}")
@@ -248,6 +250,9 @@ def main(argv=None):
     elif args.command == "analyze" and args.column is None:
         args.column = "Adj Close"  # manifest.json records the column read
     try:
+        out = getattr(args, "out", None)
+        if out and os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
+            raise ConfigurationError(f"--out {out}: exists and is not an empty directory")
         return args.func(args)
     except (MarczError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

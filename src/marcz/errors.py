@@ -23,7 +23,3 @@ class EmptyDataError(MarczError, ValueError):
 
 class LengthError(MarczError, ValueError):
     """Series too short for the requested computation."""
-
-
-class SizeError(MarczError, ValueError):
-    """Requested object exceeds the configured memory cap."""

@@ -1,5 +1,5 @@
-"""Simulation of two-sided linear processes, their s-fold products, and the
-tensor-product variant."""
+"""Simulation of two-sided scalar linear processes and their s-fold
+products."""
 
 import functools
 import json
@@ -7,12 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SizeError
+from .errors import ConfigurationError, DomainError
 from .ingest import PAPER_LENGTH, write_rows
 from .innovations import InnovationSpec, sample, tail_coefficient
 from .kernel import DEFAULT_WINDOW, _fft_convolve_valid, _fft_length, coefficient_array
-
-TENSOR_ENTRY_CAP = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -80,19 +78,18 @@ def _kernel_spectrum(spec, size):
     return out
 
 
-def _component_paths(config, r, seed, rows=1, method="fft"):
-    """rows x n paths of component r: rows * (n + 2M) draws of stream 0 if
-    shared else r (indices 1-M .. n+M per row), convolved with config.coeffs[r]."""
+def _component_paths(config, r, seed, method="fft"):
+    """The length-n path of component r: n + 2M draws of stream 0 if shared
+    else r (indices 1-M .. n+M), convolved with config.coeffs[r]."""
     n, M = config.length, config.window
     count = n + 2 * M
     stream = 0 if config.sharing == "shared" else r
-    xi = sample(config.innov, rows * count, seed, stream=stream).reshape(rows, count)
+    xi = sample(config.innov, count, seed, stream=stream)
     if method == "fft":
         spectrum = _kernel_spectrum(config.coeffs[r], _fft_length(count))
         return _fft_convolve_valid(xi, spectrum, 2 * M + 1)
     if method == "direct":
-        kern = coefficient_array(config.coeffs[r])
-        return np.stack([np.convolve(row, kern, "valid") for row in xi])
+        return np.convolve(xi, coefficient_array(config.coeffs[r]), "valid")
     raise ConfigurationError(f"unknown method {method!r}")
 
 
@@ -107,7 +104,7 @@ def simulate_paths(config, seed, method="fft"):
             x[r] = x[first_row[spec]]
             continue
         first_row[spec] = r
-        x[r] = _component_paths(config, r, seed, method=method)[0]
+        x[r] = _component_paths(config, r, seed, method=method)
     return PathEnsemble(x=x, d=np.prod(x, axis=0), config=config, seed=seed)
 
 
@@ -139,23 +136,3 @@ def ensemble_to_binary(ensemble, bin_path, sidecar_path):
     }
     with open(sidecar_path, "w") as fh:
         json.dump(sidecar, fh, indent=2)
-
-
-def simulate_tensor_paths(config, m, d_out, seed):
-    """Tensor products of vector linear processes: component r has m-vector
-    innovations and matrix coefficients C_l = c_l * P, with c_l the scalar
-    coefficients of config.coeffs[r] and P the fixed unit-Frobenius
-    d_out x m pattern of equal entries.
-
-    Returns the n x d_out^s array of the flattened tensors T_1..T_n. The
-    scalar case m = d_out = 1 reproduces simulate_paths' products exactly.
-    """
-    s, n = config.s, config.length
-    if d_out ** s > TENSOR_ENTRY_CAP:
-        raise SizeError(f"d_out^s = {d_out ** s} exceeds cap {TENSOR_ENTRY_CAP}")
-    P = np.ones((d_out, m)) / np.sqrt(d_out * m)
-    tensors = _component_paths(config, 0, seed, rows=m).T @ P.T
-    for r in range(1, s):
-        comp = _component_paths(config, r, seed, rows=m).T @ P.T
-        tensors = np.einsum("ki,kj->kij", tensors, comp).reshape(n, -1)
-    return tensors

@@ -1,6 +1,6 @@
 """Numeric verification suites: kernel-sum bounds, Monte Carlo strong-law
-behaviour, and tensor degeneracy. Shared between the CLI and the acceptance
-tests."""
+behaviour, and the product path by FFT against direct sums. Shared between
+the CLI and the acceptance tests."""
 
 import math
 from dataclasses import dataclass, field
@@ -10,8 +10,7 @@ import numpy as np
 from .errors import ConfigurationError
 from .innovations import InnovationSpec, sample
 from .kernel import CoefficientSpec, coefficient_array, verify_kernel_bound
-from .linproc import (DEFAULT_WINDOW, ProcessConfig, _component_paths, simulate_paths,
-                      simulate_tensor_paths)
+from .linproc import DEFAULT_WINDOW, ProcessConfig, _component_paths, simulate_paths
 from .statistic import _partial_sums
 
 
@@ -103,7 +102,7 @@ def lrd_ratio_medians(sigma=0.8, window=DEFAULT_WINDOW, n=2 ** 16, reps=32, seed
                         length=n, window=window)
     # the component path alone: the x copy and d product of simulate_paths
     # would only raise the peak memory of every process drawing reps
-    return _ratio_medians(lambda sd: _component_paths(cfg, 0, sd)[0], mean_abs, n,
+    return _ratio_medians(lambda sd: _component_paths(cfg, 0, sd), mean_abs, n,
                           reps, seed, p_values, compare_at)
 
 
@@ -132,15 +131,15 @@ def mslln_suite(seed=1):
 
 
 def tensor_suite(n=2 ** 10, window=2 ** 10, seed=0, tol=1e-12):
-    """Scalar-degeneracy check: the tensor pipeline at m = d_out = 1, s = 2
-    reproduces the scalar product pipeline."""
+    """The s = 2 product path of independent components, computed by FFT
+    convolution and by direct sums, agrees to a relative tol."""
     result = SuiteResult(suite="tensor")
     spec = CoefficientSpec(sigma=0.8, window=window)
     cfg = ProcessConfig(s=2, coeffs=(spec, spec), innov=InnovationSpec(family="gaussian"),
                         sharing="independent", length=n, window=window)
-    tens = simulate_tensor_paths(cfg, m=1, d_out=1, seed=seed)
-    ens = simulate_paths(cfg, seed)
-    diff = np.max(np.abs(tens[:, 0] - ens.d))
-    scale = max(1.0, float(np.max(np.abs(ens.d))))
-    result.check("scalar degeneracy max relative diff", diff / scale, tol, "<")
+    fft = simulate_paths(cfg, seed).d
+    direct = simulate_paths(cfg, seed, method="direct").d
+    diff = np.max(np.abs(fft - direct))
+    scale = max(1.0, float(np.max(np.abs(direct))))
+    result.check("product fft vs direct max relative diff", diff / scale, tol, "<")
     return result

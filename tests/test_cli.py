@@ -156,13 +156,15 @@ class TestSimulateCmd:
          '"innovation": {"family": "gaussian"}}', "unknown key 'shareing'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian", "scal": 2.0}}', "unknown key 'scal'"),
+        ('{"sigma": "abc", "sigmas": [0.8], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
             "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
             "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
             "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
             "scale_nan", "scale_removed", "sigma_huge_int", "s_huge_int", "sharing_typo",
-            "innovation_scale_typo"])
+            "innovation_scale_typo", "sigma_and_sigmas"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -608,6 +610,21 @@ class TestTablePredictCmd:
 
 
 class TestVerifyCmd:
+    def test_full_out_refused_before_the_suite(self, tmp_path, capsys, monkeypatch):
+        def not_called():
+            raise AssertionError("the suite ran before --out was refused")
+
+        monkeypatch.setattr(marcz.verify, "kernel_suite", not_called)
+        out = tmp_path / "v"
+        out.mkdir()
+        (out / "kept.txt").write_text("first run\n")
+        assert main(["verify", "--suite", "kernel", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --out {out}: exists and is not an empty "
+                                "directory\n")
+        assert [p.name for p in out.iterdir()] == ["kept.txt"]
+
     def test_tensor_suite(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "tensor", "--out", str(tmp_path / "v")])
         assert rc == 0

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,
                    coefficient_array, linproc, sample, simulate_paths,
-                   simulate_tensor_paths, truncation_error_bound)
-from marcz.errors import ConfigurationError, DomainError, SizeError
+                   truncation_error_bound)
+from marcz.errors import ConfigurationError, DomainError
 from marcz.kernel import _fft_length
 from marcz.linproc import (_fft_convolve_valid, _kernel_spectrum, ensemble_to_binary,
                            ensemble_to_tsv)
@@ -67,11 +67,19 @@ class TestSimulate:
         assert not np.array_equal(ens.x[0], ens.x[1])
 
     def test_fft_matches_direct(self):
-        cfg = _config(n=2 ** 10, window=2 ** 10)
-        a = simulate_paths(cfg, 5, method="fft")
-        b = simulate_paths(cfg, 5, method="direct")
-        scale = np.max(np.abs(b.x))
-        assert np.max(np.abs(a.x - b.x)) / scale < 1e-10
+        # one component, and s = 2 in either stream layout and with sigma
+        # per component
+        mixed = ProcessConfig(s=2, coeffs=(CoefficientSpec(sigma=0.6, window=2 ** 9),
+                                           CoefficientSpec(sigma=0.9, window=2 ** 9)),
+                              innov=InnovationSpec("gaussian"), sharing="independent",
+                              length=2 ** 9, window=2 ** 9)
+        for cfg in (_config(n=2 ** 10, window=2 ** 10),
+                    _config(s=2, sigma=0.8, sharing="shared"),
+                    _config(s=2, sigma=0.8, sharing="independent"), mixed):
+            a = simulate_paths(cfg, 5, method="fft")
+            b = simulate_paths(cfg, 5, method="direct")
+            for got, want in ((a.x, b.x), (a.d, b.d)):
+                assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-10
 
     def test_variance_oracle(self):
         spec = CoefficientSpec(sigma=0.75, window=2 ** 12)
@@ -264,48 +272,18 @@ class TestExport:
 
 
 class TestTensor:
-    def test_scalar_degeneracy(self):
-        # one engine: at m = d_out = 1 the tensor column is simulate_paths'
-        # product, in either stream layout and with sigma per component
-        mixed = ProcessConfig(s=2, coeffs=(CoefficientSpec(sigma=0.6, window=2 ** 9),
-                                           CoefficientSpec(sigma=0.9, window=2 ** 9)),
-                              innov=InnovationSpec("gaussian"), sharing="independent",
-                              length=2 ** 9, window=2 ** 9)
-        for cfg in (_config(s=2, sigma=0.8, sharing="shared"),
-                    _config(s=2, sigma=0.8, sharing="independent"), mixed):
-            tens = simulate_tensor_paths(cfg, m=1, d_out=1, seed=3)
-            assert tens[:, 0].tobytes() == simulate_paths(cfg, 3).d.tobytes()
-
     def test_trace_decreasing_inside_bound(self):
+        # the s = 2 product of independent components is the d_out = 1 tensor;
+        # its mean is 0, so k^(-1/p) * |sum_{j<=k} d_j| at p = 1.2 shrinks
         finals, mids = [], []
         n = 2 ** 13
         cfg = _config(s=2, sigma=0.8, n=n, window=2 ** 12, sharing="independent")
+        k = np.arange(1, n + 1, dtype=np.float64)
         for r in range(16):
-            tens = simulate_tensor_paths(cfg, m=2, d_out=2, seed=100 + r)
-            assert tens.shape == (n, 2 ** 2)  # n x d_out^s
-            # k^(-1/p) * ||sum_{j<=k} (T_j - mean T)||_F at p = 1.2
-            centred = tens - tens.mean(axis=0)
-            k = np.arange(1, n + 1, dtype=np.float64)
-            trace = np.linalg.norm(np.cumsum(centred, axis=0), axis=1) * k ** (-1.0 / 1.2)
+            trace = np.abs(np.cumsum(simulate_paths(cfg, 100 + r).d)) * k ** (-1.0 / 1.2)
             mids.append(trace[n // 8 - 1])
             finals.append(trace[-1])
         assert np.median(np.array(finals) / np.array(mids)) < 1.0
-
-    @pytest.mark.xfail(strict=True,
-                       reason="ROADMAP item 10: the tensor path is rank one; its d_out x m "
-                              "pattern of equal entries gives every coordinate the same "
-                              "scalar process, so all d_out^s entries are equal")
-    def test_coordinates_differ(self):
-        for sharing in ("shared", "independent"):
-            cfg = _config(s=2, sigma=0.8, sharing=sharing)
-            tens = simulate_tensor_paths(cfg, m=3, d_out=2, seed=3)
-            assert tens.shape == (cfg.length, 2 ** 2)
-            assert len({tens[:, j].tobytes() for j in range(tens.shape[1])}) > 1, sharing
-
-    def test_memory_cap(self):
-        with pytest.raises(SizeError):
-            simulate_tensor_paths(_config(s=4, sigma=0.8, n=8, window=8),
-                                  m=2, d_out=100, seed=0)
 
 
 @pytest.mark.parametrize("call", [

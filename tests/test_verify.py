@@ -7,7 +7,7 @@ import pytest
 from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig, coefficient_array,
                    sample, simulate_paths)
 from marcz.errors import ConfigurationError
-from marcz.verify import _ratio_medians, ht_ratio_medians, lrd_ratio_medians
+from marcz.verify import _ratio_medians, ht_ratio_medians, lrd_ratio_medians, tensor_suite
 
 import oracles
 
@@ -75,3 +75,11 @@ def test_forked_reps_match_serial_loop(monkeypatch, family):
     want = _full_trace_medians(draw, mean_abs, n, reps, seed, tuple(got), compare_at)
     assert list(got) == list(want)
     assert [repr(v) for v in got.values()] == [repr(v) for v in want.values()]
+
+
+def test_tensor_suite_compares_two_computations():
+    # the FFT and direct-sum products differ by rounding, not by nothing:
+    # a check value of exactly 0 would mean one path was compared with itself
+    (row,) = tensor_suite(n=2 ** 10, window=2 ** 10, seed=0, tol=1e-12).rows
+    assert row.name == "product fft vs direct max relative diff"
+    assert 0.0 < row.value < 1e-12
