@@ -29,8 +29,8 @@ EXIT_VERIFY = 4
 def _run_directory(args):
     """Build the block's files and manifest.json in a fresh sibling of
     `args.out`, then rename it onto `args.out`; a failure removes the sibling.
-    `main` refuses a non-empty `args.out` before the work, and the rename
-    refuses one that appeared since."""
+    `main` refuses a non-empty `args.out`, or the working directory, before
+    the work, and the rename refuses one that appeared since."""
     out = os.path.abspath(args.out)
     os.makedirs(os.path.dirname(out), exist_ok=True)
     tmp = tempfile.mkdtemp(prefix=f".{os.path.basename(out)}.", dir=os.path.dirname(out))
@@ -177,7 +177,7 @@ def cmd_verify(args):
         result = verify.mslln_suite(seed=args.seed)
     else:
         result = verify.tensor_suite(seed=args.seed)
-    if args.out:
+    if args.out is not None:
         with _run_directory(args) as out:
             result.to_tsv(os.path.join(out, f"{args.suite}_checks.tsv"))
             for name, report in result.reports.items():
@@ -251,6 +251,9 @@ def main(argv=None):
         args.column = "Adj Close"  # manifest.json records the column read
     try:
         out = getattr(args, "out", None)
+        if out is not None and os.path.realpath(out) == os.path.realpath(os.curdir):
+            # the rename would replace the caller's working directory
+            raise ConfigurationError(f"--out {out!r} is the working directory")
         if out and os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
             raise ConfigurationError(f"--out {out}: exists and is not an empty directory")
         return args.func(args)

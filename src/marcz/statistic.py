@@ -36,9 +36,10 @@ def ewma(series, epsilon):
 
     Blocked form: within a block of length B,
     y_j = a^j (a c + epsilon * sum_{i<=j} a^-i x_i) with a = 1-epsilon and c
-    the carry from the previous block. B is chosen so that a^-B <= e^30,
-    which keeps the rescaled cumsum finite for every epsilon in (0, 1); the
-    carries follow from a doubling scan over blocks.
+    the last value of the previous block (x_0 for the first). B is chosen so
+    that a^-B <= e^30, which keeps the rescaled cumsum finite for every
+    epsilon in (0, 1). Each y_k is computed from x_0..x_k alone, in the same
+    operations whatever follows it.
     """
     x = np.ascontiguousarray(series, dtype=np.float64)
     n = x.size
@@ -46,24 +47,18 @@ def ewma(series, epsilon):
         raise LengthError("series must be non-empty")
     a = 1.0 - epsilon
     block = int(min(n, max(1.0, 30.0 / -math.log1p(-epsilon))))
-    nblocks = -(-n // block)
     decay = a ** np.arange(block, dtype=np.float64)
-    w = np.zeros((nblocks, block))
-    w.reshape(-1)[:n] = x
-    carry = np.empty(nblocks)
-    carry[0] = x[0]
-    # end value of each block started from zero
-    carry[1:] = w[:-1] @ (epsilon * decay[::-1])
-    step, shift = a ** block, 1
-    while shift < nblocks and step > 0.0:
-        carry[shift:] += step * carry[:-shift]
-        step *= step
-        shift *= 2
-    w *= epsilon / decay
-    w[:, 0] += a * carry
-    np.cumsum(w, axis=1, out=w)
-    w *= decay
-    return w.reshape(-1)[:n]
+    gain = epsilon / decay
+    out = np.empty(n)
+    carry = x[0]
+    for lo in range(0, n, block):
+        y = out[lo:lo + block]
+        np.multiply(x[lo:lo + block], gain[:y.size], out=y)
+        y[0] += a * carry
+        np.cumsum(y, out=y)
+        y *= decay[:y.size]
+        carry = y[-1]
+    return out
 
 
 @dataclass

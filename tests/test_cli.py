@@ -704,6 +704,29 @@ def test_not_utf8_input_exit_code(tmp_path, capsys, argv):
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--config", "{config}", "--out", ""],
+    ["simulate", "--config", "{config}", "--out", "."],
+    ["verify", "--suite", "tensor", "--out", ""],
+], ids=["simulate_empty", "simulate_dot", "verify_empty"])
+def test_out_is_working_directory_exit_code(tmp_path, capsys, monkeypatch, argv):
+    # the rename onto --out would replace the caller's working directory
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"s": 1, "sigma": 0.8, "n": 256, "window": 512,
+                                  "innovation": {"family": "gaussian"}}))
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    inode = cwd.stat().st_ino
+    monkeypatch.chdir(cwd)
+    assert main([a.format(config=config) for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {argv[-1]!r} is the working directory\n"
+    assert os.stat(".").st_ino == inode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "cwd"]
+    assert list(cwd.iterdir()) == []
+
+
 def test_cli_import_loads_numpy_only():
     code = ("import sys, marcz.cli; "
             "print(sorted(m for m in sys.modules "

@@ -1,4 +1,8 @@
+import os
+import platform
 import string
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import marcz
 from marcz import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, InnovationSpec,
                    RunningMeanConfig, Verdict, VerdictTable, convergence_verdict,
                    ewma, marcinkiewicz_trace, sample, tables_from_tsv,
@@ -66,6 +71,38 @@ class TestEwma:
             assert np.all(np.isfinite(out))
             ref = _ewma_loop(x, eps)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_causal_to_the_bit(self):
+        # y_k depends on x_1..x_k only: a prefix, in blocks of 5984 at
+        # eps = 0.005, gives the bits of the whole series' first k values
+        x = 0.01 * np.random.default_rng(3).standard_t(3, 2 ** 16)
+        full, trace = ewma(x, 0.005), marcinkiewicz_trace(x, 2, 0.7).f
+        for k in (5984, 5985, 11968, 11970, 20000, 40000):
+            assert ewma(x[:k], 0.005).tobytes() == full[:k].tobytes(), k
+            assert marcinkiewicz_trace(x[:k], 2, 0.7).f.tobytes() == trace[:k].tobytes(), k
+
+    @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                        reason="OPENBLAS_CORETYPE=Prescott names an x86-64 kernel")
+    def test_same_bits_on_every_blas_kernel(self):
+        # OPENBLAS_CORETYPE picks the CPU kernel of an OpenBLAS built with
+        # DYNAMIC_ARCH; Prescott runs on every x86-64 CPU. Where numpy's BLAS
+        # ignores the variable, both children run the same kernel and agree.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from marcz import verdict_table\n"
+            "x = 0.01 * np.random.default_rng(3).standard_t(3, 2 ** 16)\n"
+            "t = verdict_table(x, proportional=True, collect_traces=True)\n"
+            "h = hashlib.sha256(t.to_json().encode())\n"
+            "for tr in t.traces.values():\n"
+            "    h.update(tr.f.tobytes())\n"
+            "print(h.hexdigest())\n")
+        root = os.path.dirname(os.path.dirname(marcz.__file__))
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+        digests = [subprocess.run([sys.executable, "-c", code], env=e, check=True,
+                                  capture_output=True, text=True).stdout
+                   for e in (env, {**env, "OPENBLAS_CORETYPE": "Prescott"})]
+        assert digests[0] == digests[1]
 
 
 class TestTrace:
