@@ -70,20 +70,22 @@ def _load_process_config(path):
     number = innovations.config_number
     try:
         for key in raw:
-            if key not in ("s", "sigma", "sigmas", "center_value", "window", "innovation",
-                           "sharing", "n"):
+            if key not in ("s", "sigma", "center_value", "window", "innovation", "sharing",
+                           "n"):
                 raise ConfigurationError(f"unknown key {key!r}")
         s = number(raw.get("s", 1), "s", int)
-        if "sigmas" in raw and "sigma" in raw:
-            raise ConfigurationError("key 'sigmas' and key 'sigma' both given; give one")
-        sigmas = raw["sigmas"] if "sigmas" in raw else [number(raw["sigma"], "sigma")] * s
-        if "sigmas" in raw and (type(sigmas) is not list or len(sigmas) != s):
-            raise ConfigurationError(f"key 'sigmas' must list s = {s} numbers, got {sigmas!r}")
+        # one sigma for every factor, or a list of one per factor
+        sigma = raw["sigma"]
+        if type(sigma) is not list:
+            sigma = [number(sigma, "sigma")] * s
+        elif len(sigma) != s:
+            raise ConfigurationError(f"key 'sigma' must be a number or a list of s = {s} "
+                                     f"numbers, got {sigma!r}")
         center_value = number(raw.get("center_value", 1.0), "center_value")
         window = number(raw.get("window", linproc.DEFAULT_WINDOW), "window", int)
-        coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigmas"),
+        coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigma"),
                                               center_value=center_value, window=window)
-                       for sg in sigmas)
+                       for sg in sigma)
         return linproc.ProcessConfig(
             s=s, coeffs=coeffs, innov=innovations.spec_from_config(raw["innovation"]),
             sharing=raw.get("sharing", "shared"), length=number(raw["n"], "n", int),
@@ -114,7 +116,8 @@ def _read_returns(path):
             # numpy warns, rather than fails, on a file without data rows
             warnings.simplefilter("error", UserWarning)
             header = fh.readline()
-            values = np.loadtxt(fh, delimiter=",", ndmin=1)
+            # no comment character: a "#N/A" cell is refused, not skipped
+            values = np.loadtxt(fh, delimiter=",", ndmin=1, comments=None)
     except UserWarning:
         raise EmptyDataError(f"{path}: no data rows") from None
     except ValueError as exc:  # a cell that is not a number, or text that is not UTF-8
@@ -127,13 +130,13 @@ def _read_returns(path):
 
 
 def _analysis_input(args):
-    if args.returns_csv:
-        return _read_returns(args.returns_csv), args.label or os.path.basename(args.returns_csv)
-    series = ingest.load_prices(args.input, column_name=args.column, label=args.label)
-    returns = ingest.log_returns(series)
-    if not args.full_series:
-        returns = ingest.select_window(returns)
-    return returns, series.label
+    """The returns to grid, and their label: --label, else the file's name."""
+    if args.returns_csv is not None:
+        path, values = args.returns_csv, _read_returns(args.returns_csv)
+    else:
+        path = args.input
+        values = ingest.select_window(ingest.log_returns(ingest.load_prices(path)))
+    return values, args.label or os.path.basename(path)
 
 
 def cmd_analyze(args):
@@ -204,12 +207,9 @@ def build_parser():
 
     p = sub.add_parser("analyze", help="verdict table for a price CSV or returns file")
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--input", help="Yahoo-format price CSV")
+    src.add_argument("--input", help="Yahoo-format price CSV: Adj Close, 2601-point window")
     src.add_argument("--returns-csv", help="one-column CSV of returns")
-    p.add_argument("--column", help="price column of --input (default: Adj Close)")
-    p.add_argument("--label")
-    p.add_argument("--full-series", action="store_true",
-                   help="skip the fixed 2601-point window selection of --input")
+    p.add_argument("--label", help="label of the verdict table (default: the file's name)")
     p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
     p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
     p.add_argument("--proportional", action="store_true")
@@ -238,17 +238,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "analyze" and args.returns_csv:
-        for flag, on in (("--column", args.column is not None),
-                         ("--full-series", args.full_series)):
-            if on:
-                parser.error(f"argument {flag}: not allowed with argument --returns-csv")
+    if args.command == "analyze" and not args.label:
         # a pipe's name (/dev/fd/63) is no label for its verdict table
-        if (args.label is None and os.path.exists(args.returns_csv)
-                and not os.path.isfile(args.returns_csv)):
-            parser.error("argument --label: required when --returns-csv is not a regular file")
-    elif args.command == "analyze" and args.column is None:
-        args.column = "Adj Close"  # manifest.json records the column read
+        flag, path = (("--input", args.input) if args.returns_csv is None
+                      else ("--returns-csv", args.returns_csv))
+        if os.path.exists(path) and not os.path.isfile(path):
+            parser.error(f"argument --label: required when {flag} is not a regular file")
     try:
         out = getattr(args, "out", None)
         if out is not None and os.path.realpath(out) == os.path.realpath(os.curdir):

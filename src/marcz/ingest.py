@@ -21,20 +21,20 @@ class PriceSeries:
     label: str
 
 
-def load_prices(path, column_name="Adj Close", label=None):
-    """Read a Yahoo-format CSV, coercing the price column to numbers and
-    dropping rows that fail to parse."""
+def load_prices(path, label=None):
+    """Read the Adj Close column of a Yahoo-format CSV, coercing it to
+    numbers and dropping rows that fail to parse."""
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise SchemaError(f"{path}: no header row")
-            if column_name not in reader.fieldnames:
-                raise SchemaError(f"{path}: missing column {column_name!r}")
+            if "Adj Close" not in reader.fieldnames:
+                raise SchemaError(f"{path}: missing column 'Adj Close'")
             prices = []
             for row in reader:
                 try:
-                    value = float(row[column_name])
+                    value = float(row["Adj Close"])
                 except (TypeError, ValueError):
                     continue
                 if math.isfinite(value):
@@ -42,7 +42,7 @@ def load_prices(path, column_name="Adj Close", label=None):
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     if not prices:
-        raise EmptyDataError(f"{path}: no numeric rows in column {column_name!r}")
+        raise EmptyDataError(f"{path}: no numeric rows in column 'Adj Close'")
     if label is None:
         label = str(path)
     return PriceSeries(adj_close=np.array(prices), label=label)

@@ -92,4 +92,6 @@ def spec_from_config(cfg):
     for key in cfg:
         if key not in ("family", "alpha", "scale"):
             raise ConfigurationError(f"unknown key {key!r}")
+    if spec.family == "gaussian" and "alpha" in cfg:
+        raise ConfigurationError("key 'alpha' is not a parameter of the gaussian family")
     return spec

@@ -87,6 +87,20 @@ class TestSimulateCmd:
         assert sorted(p.name for p in out.iterdir()) == [
             "ensemble.bin", "ensemble.json", "manifest.json"]
 
+    def test_sigma_per_factor(self, tmp_path):
+        # a list gives each factor its own sigma
+        cfg = {"s": 2, "sigma": [0.8, 0.6], "sharing": "independent", "n": 256,
+               "window": 512, "innovation": {"family": "gaussian"}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--seed", "3", "--out", str(out)]) == 0
+        coeffs = tuple(CoefficientSpec(sigma=sg, window=512) for sg in (0.8, 0.6))
+        ens = simulate_paths(ProcessConfig(s=2, coeffs=coeffs, innov=InnovationSpec("gaussian"),
+                                           sharing="independent", length=256, window=512), 3)
+        assert (out / "ensemble.bin").read_bytes() == np.vstack([ens.x, ens.d]).astype("<f8").tobytes()
+        assert json.loads((out / "ensemble.json").read_text())["sigmas"] == [0.8, 0.6]
+
     def test_unallocatable_length_exit_code(self, tmp_path):
         # 2^50 doubles (8 PiB) exceed the 2^47-byte address space Linux maps
         # for a process by default, whatever the overcommit setting
@@ -136,12 +150,12 @@ class TestSimulateCmd:
          '"innovation": {"family": "student_t", "alpha": true}}', "key 'alpha'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian", "scale": "2"}}', "key 'scale'"),
-        ('{"sigma": 0.8, "sigmas": [], "n": 256, "window": 512, '
-         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
-        ('{"sigmas": "1", "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
-         "key 'sigmas'"),
-        ('{"s": 2, "sigmas": [0.8, true], "n": 256, "window": 512, '
-         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
+        ('{"sigma": [], "n": 256, "window": 512, "innovation": {"family": "gaussian"}}',
+         "key 'sigma'"),
+        ('{"s": 2, "sigma": [0.8, "0.6"], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigma'"),
+        ('{"s": 2, "sigma": [0.8, true], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "key 'sigma'"),
         ('{"sigma": 0.8, "center_value": "1", "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian"}}', "key 'center_value'"),
         ('{"sigma": 0.8, "scale": NaN, "n": 256, "window": 512, '
@@ -156,15 +170,17 @@ class TestSimulateCmd:
          '"innovation": {"family": "gaussian"}}', "unknown key 'shareing'"),
         ('{"sigma": 0.8, "n": 256, "window": 512, '
          '"innovation": {"family": "gaussian", "scal": 2.0}}', "unknown key 'scal'"),
-        ('{"sigma": "abc", "sigmas": [0.8], "n": 256, "window": 512, '
-         '"innovation": {"family": "gaussian"}}', "key 'sigmas'"),
+        ('{"sigma": 0.8, "sigmas": [0.8], "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian"}}', "unknown key 'sigmas'"),
+        ('{"sigma": 0.8, "n": 256, "window": 512, '
+         '"innovation": {"family": "gaussian", "alpha": 3.0}}', "key 'alpha'"),
     ], ids=["top_level_array", "innovation_string", "sigma_text", "n_text", "s_text",
             "window_text", "sigma_missing", "n_missing", "family_missing",
             "json_syntax", "s_float", "s_bool", "n_float", "n_string", "window_float",
             "sigma_bool", "scale_bool", "alpha_bool", "innovation_scale_string",
             "sigmas_empty", "sigmas_string", "sigmas_bool_entry", "center_value_string",
             "scale_nan", "scale_removed", "sigma_huge_int", "s_huge_int", "sharing_typo",
-            "innovation_scale_typo", "sigma_and_sigmas"])
+            "innovation_scale_typo", "sigma_and_sigmas", "gaussian_alpha"])
     def test_malformed_config_exit_code(self, tmp_path, capsys, text, names):
         path = tmp_path / "config.json"
         path.write_text(text)
@@ -233,49 +249,83 @@ class TestAnalyzeCmd:
         rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "out")])
         assert rc == 0
 
-    @pytest.mark.parametrize("column", ["Close", "Volume"])
-    def test_price_column(self, tmp_path, capsys, column):
+    @pytest.mark.parametrize("flags", [["--column", "Close"], ["--full-series"]])
+    def test_price_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        # --input reads the Adj Close window only: another column or span
+        # is a returns file for --returns-csv
         p = tmp_path / "prices.csv"
         _write_prices(p)
-        default, chosen = tmp_path / "default", tmp_path / "chosen"
-        assert main(["analyze", "--input", str(p), "--out", str(default)]) == 0
-        assert main(["analyze", "--input", str(p), "--column", column,
-                     "--out", str(chosen)]) == 0
-        capsys.readouterr()
-        want = verdict_table(select_window(log_returns(load_prices(p, column))),
-                             label=str(p))
-        assert (chosen / "verdicts.tsv").read_text() == want.to_tsv()
-        # Close equals Adj Close in this file; Volume is another series
-        same = (chosen / "verdicts.tsv").read_bytes() == (default / "verdicts.tsv").read_bytes()
-        assert same == (column == "Close")
-        assert json.loads((chosen / "manifest.json").read_text())["args"]["column"] == column
-        assert json.loads((default / "manifest.json").read_text())["args"]["column"] == "Adj Close"
-
-    @pytest.mark.parametrize("flags", [["--column", "Zzz"], ["--full-series"]])
-    def test_price_flag_with_returns_is_usage_error(self, tmp_path, capsys, flags):
-        # the flags choose a price column and a window, which a returns file has not
-        rets = tmp_path / "returns.csv"
-        _write_returns(rets)
         out = tmp_path / "analysis"
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--returns-csv", str(rets), *flags, "--out", str(out)])
+            main(["analyze", "--input", str(p), *flags, "--out", str(out)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flags[0]}: not allowed with argument --returns-csv" in captured.err
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
         assert not out.exists()
 
-    def test_full_series(self, tmp_path, capsys):
+    def test_label_is_the_file_name(self, tmp_path, capsys, monkeypatch):
+        # both inputs label their table with the file's name, not the path typed
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("sub")
+        _write_prices("sub/prices.csv")
+        _write_returns("sub/returns.csv")
+        prices = select_window(log_returns(load_prices("sub/prices.csv")))
+        returns = np.loadtxt("sub/returns.csv", skiprows=1, delimiter=",", ndmin=1)
+        for flag, name, values in (("--input", "prices.csv", prices),
+                                   ("--returns-csv", "returns.csv", returns)):
+            assert main(["analyze", flag, f"sub/{name}", "--out", name[:-4]]) == 0
+            want = verdict_table(values, label=name).to_tsv()
+            assert capsys.readouterr().out == want
+            assert (tmp_path / name[:-4] / "verdicts.tsv").read_text() == want
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_piped_prices(self, tmp_path, capsys):
+        # a price CSV is read in one pass too, and a pipe needs --label as a
+        # piped returns file does
         p = tmp_path / "prices.csv"
         _write_prices(p)
-        returns = log_returns(load_prices(p))
-        assert len(returns) == 2801
-        for flags, values in (([], select_window(returns)), (["--full-series"], returns)):
-            out = tmp_path / f"out{len(flags)}"
-            assert main(["analyze", "--input", str(p), *flags, "--out", str(out)]) == 0
-            assert capsys.readouterr().out == verdict_table(values, label=str(p)).to_tsv()
-            trace = (out / "trace_s1_e0.5.csv").read_text().splitlines()
-            assert len(trace) == 1 + len(values)
+        r, w = os.pipe()
+        os.close(w)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["analyze", "--input", f"/dev/fd/{r}", "--out", str(tmp_path / "x")])
+        finally:
+            os.close(r)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --label: required when --input is not a regular file" in captured.err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv"]
+        r, w = os.pipe()
+
+        def feed():
+            with os.fdopen(w, "wb") as fh:
+                fh.write(p.read_bytes())
+
+        feeder = threading.Thread(target=feed, daemon=True)
+        feeder.start()
+        try:
+            rc = main(["analyze", "--input", f"/dev/fd/{r}", "--label", "ACME",
+                       "--out", str(tmp_path / "pipe")])
+        finally:
+            os.close(r)
+            feeder.join(timeout=10)
+        assert not feeder.is_alive()
+        assert rc == 0
+        want = verdict_table(select_window(log_returns(load_prices(p))), label="ACME")
+        assert capsys.readouterr().out == want.to_tsv()
+        assert (tmp_path / "pipe" / "verdicts.tsv").read_text() == want.to_tsv()
+
+    @pytest.mark.parametrize("flag", ["--input", "--returns-csv"])
+    def test_empty_path_exit_code(self, tmp_path, capsys, flag):
+        # an empty path names no file for either input
+        out = tmp_path / "analysis"
+        assert main(["analyze", flag, "", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+        assert not out.exists()
 
     def test_nan_row_exit_code(self, tmp_path):
         rets = tmp_path / "returns.csv"
@@ -290,7 +340,7 @@ class TestAnalyzeCmd:
 
     @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
                                      "constant", "overflow", "headerless", "underflow",
-                                     "mean_overflow"])
+                                     "mean_overflow", "comment"])
     def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
@@ -309,6 +359,8 @@ class TestAnalyzeCmd:
             lines[1:] = [f"{float(v) * 1e-300:.17g}" for v in lines[1:]]
         elif bad == "mean_overflow":  # every partial sum is finite, the sum of f is not
             lines[700] = "1e308"
+        elif bad == "comment":  # a spreadsheet's missing value, not a comment line
+            lines[1000] = "#N/A"
         else:
             lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")
