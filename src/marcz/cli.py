@@ -1,6 +1,7 @@
 """Command-line front end: simulate, analyze, estimate, table-predict, verify."""
 
 import argparse
+import itertools
 import json
 import os
 import shutil
@@ -108,20 +109,26 @@ def cmd_simulate(args):
 
 
 def _read_returns(path):
-    """The values of a one-column returns CSV below its header line."""
+    """The values of a one-column returns CSV below its header line. Blank
+    lines may end the file but not stand among the values."""
     import numpy as np
 
     try:
         with open(path) as fh, warnings.catch_warnings():
-            # numpy warns, rather than fails, on a file without data rows
-            warnings.simplefilter("error", UserWarning)
+            # numpy warns on a file without data rows; it is refused below
+            warnings.simplefilter("ignore", UserWarning)
             header = fh.readline()
-            # no comment character: a "#N/A" cell is refused, not skipped
-            values = np.loadtxt(fh, delimiter=",", ndmin=1, comments=None)
-    except UserWarning:
-        raise EmptyDataError(f"{path}: no data rows") from None
+            # the lines up to the first blank one; no comment character, so a
+            # "#N/A" cell is refused, not skipped
+            values = np.loadtxt(itertools.takewhile(str.strip, fh), delimiter=",",
+                                ndmin=1, comments=None)
+            blank_inside = any(map(str.strip, fh))
     except ValueError as exc:  # a cell that is not a number, or text that is not UTF-8
         raise SchemaError(f"{path}: {exc}") from None
+    if blank_inside:
+        raise SchemaError(f"{path}: line {len(values) + 2} is blank")
+    if not len(values):
+        raise EmptyDataError(f"{path}: no data rows")
     try:
         float(header)
     except ValueError:

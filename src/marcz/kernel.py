@@ -11,10 +11,12 @@ from .ingest import write_rows
 
 
 DEFAULT_WINDOW = 2 ** 14  # coefficient truncation window M of the simulations
-# l-block length of the far-field sums; bounds their memory
-_SERIES_BLOCK = 2 ** 15
-# the cross sums take |l| <= _NEAR_LAGS * lag_max by FFT, the rest by series
-_NEAR_LAGS = 32
+# the cross sums take |l| <= _NEAR_LAGS * lag_max by FFT, the rest by the
+# series in d/l, which converges only for d/l below 1
+_NEAR_LAGS = 2
+# B_2k / (2k)! for k = 1..8: the Euler-Maclaurin corrections of _power_sum
+_BERNOULLI_TERMS = tuple(b / math.factorial(2 * k) for k, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), 1))
 
 
 @dataclass(frozen=True)
@@ -88,16 +90,41 @@ def _fft_cross_sums(gamma_left, gamma_right, lag_max, radius):
     return _fft_convolve_valid(a, b, 2 * radius + 1).copy()
 
 
+def _power_sum(a, b, s):
+    """Sum of l^(-s) over the integers a <= l <= b, for 1 <= a <= b and s > 1.
+
+    The terms below start = max(a, ceil(2s) + 32) are added one by one, the
+    rest by Euler-Maclaurin at both ends with the eight corrections of
+    _BERNOULLI_TERMS. The integral start^(1-s) * (1 - (b/start)^(1-s)) / (s-1)
+    goes through expm1 and log1p, so it keeps its digits as s -> 1 and as
+    b -> start. Since start >= 2(s + 14), the remainder is below
+    2 zeta(16) / (2 pi)^16 * 2^-15 < 1.1e-17 of start^(-s), and the cost does
+    not depend on b - a.
+    """
+    start = max(a, math.ceil(2.0 * s) + 32)
+    terms = [l ** -s for l in range(a, min(start, b + 1))]
+    if start <= b:
+        lo, hi = start ** -s, float(b) ** -s
+        terms += [-start * lo * math.expm1((1.0 - s) * math.log1p((b - start) / start))
+                  / (s - 1.0), (lo + hi) / 2.0]
+        lo, hi, rising = lo / start, hi / b, s  # at step k: s (s+1) ... (s+2k)
+        for k, bernoulli in enumerate(_BERNOULLI_TERMS):
+            terms.append(bernoulli * rising * (lo - hi))
+            lo, hi = lo / start ** 2, hi / b / b
+            rising *= (s + 2 * k + 1) * (s + 2 * k + 2)
+    return math.fsum(terms)
+
+
 def _far_series(gamma_left, gamma_right, lag_max, near, radius):
     """The terms near < |l| <= radius of the cross sum for d = 2..lag_max,
     where near > lag_max.
 
     With B even, l and -l fold into l^(-ga-gb) * [(1-d/l)^(-ga) + (1+d/l)^(-ga)],
     whose binomial series keeps the even powers: the sum is
-    sum over even j of 2*C(ga+j-1, j) * d^j * Z_j, Z_j = sum_l l^(-(ga+gb+j)).
-    Z_j shrinks by at least (near+1)^2 per step, so at d = lag_max term j is
-    at most c_j * (lag_max/(near+1))^j of term 0; terms are kept until that
-    bound falls below 2^-60.
+    sum over even j of 2*C(ga+j-1, j) * d^j * Z_j, Z_j = sum_l l^(-(ga+gb+j)),
+    each Z_j in closed form by _power_sum. Z_j shrinks by at least (near+1)^2
+    per step, so at d = lag_max term j is at most c_j * (lag_max/(near+1))^j
+    of term 0; terms are kept until that bound falls below 2^-60.
     """
     x = lag_max / (near + 1)
     coefs, c, j = [2.0], 1.0, 0  # 2*C(ga+j-1, j) for j = 0, 2, 4, ...
@@ -107,14 +134,8 @@ def _far_series(gamma_left, gamma_right, lag_max, near, radius):
         if c * x ** j < 2.0 ** -60:
             break
         coefs.append(2.0 * c)
-    z = np.zeros(len(coefs))
-    for l0 in range(near + 1, radius + 1, _SERIES_BLOCK):
-        l = np.arange(l0, min(l0 + _SERIES_BLOCK, radius + 1), dtype=np.float64)
-        t = l ** -(gamma_left + gamma_right)
-        inv_sq = 1.0 / (l * l)
-        for k in range(len(coefs)):
-            z[k] += np.sum(t)
-            t *= inv_sq
+    z = [_power_sum(near + 1, radius, gamma_left + gamma_right + 2 * k)
+         for k in range(len(coefs))]
     d_sq = np.arange(2, lag_max + 1, dtype=np.float64) ** 2
     out = np.zeros(lag_max - 1)
     for a in (np.array(coefs) * z)[::-1]:  # Horner in d^2

@@ -340,7 +340,7 @@ class TestAnalyzeCmd:
 
     @pytest.mark.parametrize("bad", ["non_numeric_cell", "two_columns", "header_only",
                                      "constant", "overflow", "headerless", "underflow",
-                                     "mean_overflow", "comment"])
+                                     "mean_overflow", "comment", "blank_line"])
     def test_bad_returns_exit_code(self, tmp_path, bad):
         rets = tmp_path / "returns.csv"
         _write_returns(rets)
@@ -361,6 +361,8 @@ class TestAnalyzeCmd:
             lines[700] = "1e308"
         elif bad == "comment":  # a spreadsheet's missing value, not a comment line
             lines[1000] = "#N/A"
+        elif bad == "blank_line":  # a missing value among the 2601, not an end of file
+            lines.insert(1000, "")
         else:
             lines[1:] = ["0.01"] * 2601
         rets.write_text("\n".join(lines) + "\n")
@@ -373,7 +375,22 @@ class TestAnalyzeCmd:
         assert proc.stdout == ""
         assert proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
+        if bad == "blank_line":
+            assert proc.stderr == f"error: {rets}: line 1001 is blank\n"
         assert not (out / "verdicts.tsv").exists()
+
+    def test_blank_lines_may_end_returns(self, tmp_path, capsys):
+        # blank and whitespace-only lines after the last value are not values
+        rets = tmp_path / "returns.csv"
+        _write_returns(rets)
+        values = np.loadtxt(rets, skiprows=1)
+        with open(rets, "a") as fh:
+            fh.write("\n \t\n\n")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--returns-csv", str(rets), "--out", str(out)]) == 0
+        want = verdict_table(values, label="returns.csv").to_tsv()
+        assert capsys.readouterr().out == want
+        assert (out / "verdicts.tsv").read_text() == want
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
     def test_piped_returns(self, tmp_path):
@@ -829,7 +846,7 @@ def test_table_commands_skip_numpy(fixtures_dir, argv):
 @pytest.mark.parametrize("code", [
     "import marcz; from marcz.statistic import verdict_table; "
     "assert marcz.verdict_table is verdict_table",
-    "from marcz.kernel import _SERIES_BLOCK; assert _SERIES_BLOCK > 0",
+    "from marcz.kernel import _NEAR_LAGS; assert _NEAR_LAGS > 0",
     "import marcz; from marcz import *; "
     "assert all(globals()[n] is getattr(marcz, n) for n in marcz.__all__); "
     "assert simulate_paths.__module__ == 'marcz.linproc'",

@@ -84,8 +84,11 @@ def _returns_case(draw):
     text = "".join(line + end for line in lines)
     flags, grid = vary("grid", _GRIDS[0], _GRIDS[1:])
     # the model: the first line is a header that is not a number, and the
-    # lines below it are numbers a float reads as finite (numpy skips blank ones)
-    data = [c for c in lines[1:] if c.strip()]
+    # lines below it, up to blank ones that end the file, are numbers a float
+    # reads as finite (a blank line among them is not)
+    data = lines[1:]
+    while data and not data[-1].strip():
+        data.pop()
     values = None
     if lines and _float(lines[0]) is None and data and all(map(_finite, data)):
         values = np.array([float(c) for c in data])

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import marcz.kernel
 import oracles
 from marcz import CoefficientSpec, coefficient_array, verify_kernel_bound
 from marcz.errors import ConfigurationError, DomainError
-from marcz.kernel import _NEAR_LAGS, _SERIES_BLOCK, _far_series, _lemma_bound
+from marcz.kernel import _NEAR_LAGS, _far_series, _lemma_bound, _power_sum
 from marcz.verify import kernel_suite
 
 
@@ -94,8 +95,17 @@ class TestCrossSum:
                 verify_kernel_bound(gamma, lag_max, radius)
 
     def test_monotone_in_radius(self):
-        sums = [verify_kernel_bound(0.8, 2, r).sums[0] for r in (100, 1000, 10000)]
-        assert sums[0] < sums[1] < sums[2]
+        sums, peaks = [], []
+        for r in (100, 1000, 10000, 10 ** 6, 10 ** 12):
+            tracemalloc.start()
+            try:
+                sums.append(verify_kernel_bound(0.8, 2, r).sums[0])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sums[0] < sums[1] < sums[2] < sums[3] < sums[4]
+        # the far field is in closed form: a radius of 10^12 costs no more
+        assert peaks[4] <= peaks[3]
 
     def test_cauchy_tail_large_gamma(self):
         # increments shrink below 1e-8 past radius 1e5 once the tail exponent
@@ -108,24 +118,42 @@ class TestCrossSum:
         assert b - a < 1e-8
 
 
+# the largest exponent of a Z_j over the kernel suite and _bound_case's
+# domain: gamma = 2 at lag_max = 300
+_LARGEST_EXPONENT = 68.0
+
+
+@given(st.integers(min_value=2 * _NEAR_LAGS + 1, max_value=10 ** 4),
+       st.integers(min_value=0, max_value=10 ** 5),
+       st.floats(min_value=1.0 + 1e-12, max_value=_LARGEST_EXPONENT))
+@example(2 * _NEAR_LAGS + 1, 0, 1.0 + 1e-12)  # one term
+@example(2 * _NEAR_LAGS + 1, 10 ** 5, 1.0 + 1e-12)  # Z_0 as s -> 1
+@example(10 ** 4, 1, _LARGEST_EXPONENT)  # b just past a
+@example(2 * _NEAR_LAGS + 1, 10 ** 5, _LARGEST_EXPONENT)  # the longest direct head
+@settings(max_examples=50, deadline=None)
+def test_power_sum_matches_fsum(a, span, s):
+    terms = np.arange(a, a + span + 1, dtype=np.float64) ** -s
+    assert _power_sum(a, a + span, s) == pytest.approx(math.fsum(terms), rel=1e-14, abs=0)
+
+
 @st.composite
 def _bound_case(draw):
     mixed = draw(st.booleans())
     gamma = draw(st.floats(min_value=0.5, max_value=1.0 if mixed else 2.0,
                            exclude_min=True, exclude_max=mixed))
     lag_max = draw(st.integers(min_value=2, max_value=300))
-    radius = draw(st.integers(min_value=2 * lag_max, max_value=3 * _SERIES_BLOCK))
+    radius = draw(st.integers(min_value=2 * lag_max, max_value=10 ** 5))
     return gamma, mixed, lag_max, radius
 
 
 class TestCrossSumsByFft:
     @given(_bound_case())
-    @example((2.0, False, 300, 1000))  # FFT alone, well inside the seam
-    @example((0.75, True, 300, _SERIES_BLOCK + 5))  # a far field of one partial block
-    @example((1.5, False, 2, _SERIES_BLOCK))  # the shortest transform, then one block
+    @example((2.0, False, 300, 600))  # FFT alone, at the smallest radius
+    @example((math.nextafter(0.5, 1.0), False, 300, 10 ** 5))  # Z_0 at s = 1 + 2^-52
+    @example((1.5, False, 2, 10 ** 5))  # the shortest transform, the widest far field
     @example((0.75, False, 300, _NEAR_LAGS * 300))  # FFT alone, up to the seam
     @example((0.75, True, 300, _NEAR_LAGS * 300 + 1))  # a far field of one l
-    @example((2.0, False, 300, 3 * _SERIES_BLOCK))  # the most series terms
+    @example((2.0, False, 300, 10 ** 5))  # the most series terms
     @settings(max_examples=50, deadline=None)
     def test_matches_direct_dots(self, case):
         gamma, mixed, lag_max, radius = case
@@ -155,6 +183,20 @@ class TestCrossSumsByFft:
                 ref = np.sum(l ** -gamma_right
                              * ((l - d) ** -gamma_left + (l + d) ** -gamma_left))
                 assert series[d - 2] == pytest.approx(ref, rel=1e-13, abs=0)
+
+    def test_series_exponents_in_range(self, monkeypatch):
+        # the exponents ga + gb + j of the Z_j over the kernel suite and the
+        # widest series of _bound_case's domain stay within the power-sum test's
+        exponents = []
+
+        def record(a, b, s):
+            exponents.append(s)
+            return _power_sum(a, b, s)
+
+        monkeypatch.setattr(marcz.kernel, "_power_sum", record)
+        kernel_suite()
+        verify_kernel_bound(2.0, 300, 10 ** 5)
+        assert max(exponents) == _LARGEST_EXPONENT
 
     def test_memory_bounded(self):
         # numpy reports its buffers to tracemalloc; the two power tables of
