@@ -1,11 +1,11 @@
 """Long-range dependence and heavy-tail diagnostics for linear processes via
 Marcinkiewicz-normalized partial sums.
 
-The numeric modules (ingest, innovations, kernel, linproc, statistic,
-verify) load numpy, so they are registered lazily and run on first
-attribute access. Their public names resolve through `__getattr__`.
-`errors`, `tables` and `rates` need no numpy and load at once: reading a
-verdict table, inverting it and forward-modelling one never import numpy.
+Every submodule is registered lazily: `import marcz` puts each one in
+`sys.modules` without running it, and runs it on its first attribute
+access. A public name resolves through `__getattr__` to the module that
+defines it, so reading a verdict table, inverting it and forward-modelling
+one (`tables`, `rates`, `errors`) never import numpy.
 """
 
 import importlib.util
@@ -13,14 +13,13 @@ import sys
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigurationError, DomainError, EmptyDataError, LengthError,
-                     MarczError, SchemaError)
-from .tables import (DEFAULT_EXPONENTS, DEFAULT_S_LIST, Verdict, VerdictTable,
-                     tables_from_tsv)
-from .rates import (EstimateValue, ParamEstimate, estimate_parameters,
-                    predict_table, rate_bound)
-
 _LAZY_EXPORTS = {
+    "errors": ("ConfigurationError", "DomainError", "EmptyDataError", "LengthError",
+               "MarczError", "SchemaError"),
+    "tables": ("DEFAULT_EXPONENTS", "DEFAULT_S_LIST", "Verdict", "VerdictTable",
+               "tables_from_tsv"),
+    "rates": ("EstimateValue", "ParamEstimate", "estimate_parameters", "predict_table",
+              "rate_bound"),
     "kernel": ("BoundReport", "CoefficientSpec", "coefficient_array",
                "verify_kernel_bound"),
     "innovations": ("InnovationSpec", "sample", "spec_from_config", "tail_coefficient"),
@@ -63,10 +62,4 @@ def __dir__():
     return sorted(set(globals()) | set(_ORIGIN))
 
 
-__all__ = [
-    "ConfigurationError", "DomainError", "EmptyDataError", "LengthError",
-    "MarczError", "SchemaError",
-    "DEFAULT_EXPONENTS", "DEFAULT_S_LIST", "Verdict", "VerdictTable", "tables_from_tsv",
-    "EstimateValue", "ParamEstimate", "estimate_parameters", "predict_table",
-    "rate_bound", *_ORIGIN,
-]
+__all__ = list(_ORIGIN)

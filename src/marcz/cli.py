@@ -9,17 +9,13 @@ import sys
 import tempfile
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import datetime, timezone
 
-# ingest, innovations, kernel, linproc, statistic and verify load numpy on
-# first attribute access (see marcz/__init__.py): reach them as module
-# attributes at run time, so estimate and table-predict never load it
-from . import __version__, ingest, innovations, kernel, linproc, statistic, verify
-from .errors import (ConfigurationError, DomainError, EmptyDataError, MarczError,
-                     SchemaError)
-from .rates import estimate_parameters, predict_table
-from .tables import DEFAULT_EXPONENTS, DEFAULT_S_LIST, tables_from_tsv
+# every submodule runs on its first attribute access (see marcz/__init__.py):
+# reach them as module attributes at run time, so that a command loads only
+# what it uses, and estimate and table-predict never load numpy
+from . import (__version__, errors, ingest, innovations, kernel, linproc, rates, statistic,
+               tables, verify)
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -65,23 +61,23 @@ def _load_process_config(path):
         with open(path) as fh:
             raw = json.load(fh)
     except ValueError as exc:  # not UTF-8 text, or not JSON
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise errors.ConfigurationError(f"{path}: {exc}") from None
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be a JSON object")
+        raise errors.ConfigurationError(f"{path}: top level must be a JSON object")
     number = innovations.config_number
     try:
         for key in raw:
             if key not in ("s", "sigma", "center_value", "window", "innovation", "sharing",
                            "n"):
-                raise ConfigurationError(f"unknown key {key!r}")
+                raise errors.ConfigurationError(f"unknown key {key!r}")
         s = number(raw.get("s", 1), "s", int)
         # one sigma for every factor, or a list of one per factor
         sigma = raw["sigma"]
         if type(sigma) is not list:
             sigma = [number(sigma, "sigma")] * s
         elif len(sigma) != s:
-            raise ConfigurationError(f"key 'sigma' must be a number or a list of s = {s} "
-                                     f"numbers, got {sigma!r}")
+            raise errors.ConfigurationError(f"key 'sigma' must be a number or a list of "
+                                            f"s = {s} numbers, got {sigma!r}")
         center_value = number(raw.get("center_value", 1.0), "center_value")
         window = number(raw.get("window", linproc.DEFAULT_WINDOW), "window", int)
         coeffs = tuple(kernel.CoefficientSpec(sigma=number(sg, "sigma"),
@@ -92,9 +88,9 @@ def _load_process_config(path):
             sharing=raw.get("sharing", "shared"), length=number(raw["n"], "n", int),
             window=window)
     except KeyError as exc:
-        raise ConfigurationError(f"{path}: missing key {exc}") from None
+        raise errors.ConfigurationError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+        raise errors.ConfigurationError(f"{path}: {exc}") from None
 
 
 def cmd_simulate(args):
@@ -124,16 +120,16 @@ def _read_returns(path):
                                 ndmin=1, comments=None)
             blank_inside = any(map(str.strip, fh))
     except ValueError as exc:  # a cell that is not a number, or text that is not UTF-8
-        raise SchemaError(f"{path}: {exc}") from None
+        raise errors.SchemaError(f"{path}: {exc}") from None
     if blank_inside:
-        raise SchemaError(f"{path}: line {len(values) + 2} is blank")
+        raise errors.SchemaError(f"{path}: line {len(values) + 2} is blank")
     if not len(values):
-        raise EmptyDataError(f"{path}: no data rows")
+        raise errors.EmptyDataError(f"{path}: no data rows")
     try:
         float(header)
     except ValueError:
         return values
-    raise SchemaError(f"{path}: first line {header.strip()!r} is a number, not a header")
+    raise errors.SchemaError(f"{path}: first line {header.strip()!r} is a number, not a header")
 
 
 def _analysis_input(args):
@@ -163,8 +159,10 @@ def cmd_analyze(args):
 
 
 def cmd_estimate(args):
-    sys.stdout.write(json.dumps({t.label: asdict(estimate_parameters(t))
-                                 for t in tables_from_tsv(args.table)}, indent=2) + "\n")
+    from dataclasses import asdict
+
+    sys.stdout.write(json.dumps({t.label: asdict(rates.estimate_parameters(t))
+                                 for t in tables.tables_from_tsv(args.table)}, indent=2) + "\n")
     return EXIT_OK
 
 
@@ -172,10 +170,10 @@ def cmd_table_predict(args):
     try:
         alpha1 = float(args.alpha1)
     except ValueError:
-        raise DomainError(f"--alpha1 must be a number, got {args.alpha1!r}") from None
-    table = predict_table(args.sigma, alpha1, s_list=args.s_list,
-                          exponent_list=args.exponents,
-                          label=f"predicted_s{args.sigma:g}_a{args.alpha1}")
+        raise errors.DomainError(f"--alpha1 must be a number, got {args.alpha1!r}") from None
+    table = rates.predict_table(args.sigma, alpha1, s_list=args.s_list,
+                                exponent_list=args.exponents,
+                                label=f"predicted_s{args.sigma:g}_a{args.alpha1}")
     sys.stdout.write(table.to_tsv())
     return EXIT_OK
 
@@ -217,8 +215,8 @@ def build_parser():
     src.add_argument("--input", help="Yahoo-format price CSV: Adj Close, 2601-point window")
     src.add_argument("--returns-csv", help="one-column CSV of returns")
     p.add_argument("--label", help="label of the verdict table (default: the file's name)")
-    p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
-    p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
+    p.add_argument("--s-list", type=_parse_int_list, default=tables.DEFAULT_S_LIST)
+    p.add_argument("--exponents", type=_parse_float_list, default=tables.DEFAULT_EXPONENTS)
     p.add_argument("--proportional", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_analyze)
@@ -230,8 +228,8 @@ def build_parser():
     p = sub.add_parser("table-predict", help="forward-model a verdict table")
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--alpha1", default="inf")
-    p.add_argument("--s-list", type=_parse_int_list, default=DEFAULT_S_LIST)
-    p.add_argument("--exponents", type=_parse_float_list, default=DEFAULT_EXPONENTS)
+    p.add_argument("--s-list", type=_parse_int_list, default=tables.DEFAULT_S_LIST)
+    p.add_argument("--exponents", type=_parse_float_list, default=tables.DEFAULT_EXPONENTS)
     p.set_defaults(func=cmd_table_predict)
 
     p = sub.add_parser("verify", help="run a numeric verification suite")
@@ -255,11 +253,11 @@ def main(argv=None):
         out = getattr(args, "out", None)
         if out is not None and os.path.realpath(out) == os.path.realpath(os.curdir):
             # the rename would replace the caller's working directory
-            raise ConfigurationError(f"--out {out!r} is the working directory")
+            raise errors.ConfigurationError(f"--out {out!r} is the working directory")
         if out and os.path.lexists(out) and (not os.path.isdir(out) or os.listdir(out)):
-            raise ConfigurationError(f"--out {out}: exists and is not an empty directory")
+            raise errors.ConfigurationError(f"--out {out}: exists and is not an empty directory")
         return args.func(args)
-    except (MarczError, OSError, MemoryError) as exc:
+    except (errors.MarczError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

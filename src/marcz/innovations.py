@@ -8,6 +8,7 @@ construction.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -42,7 +43,11 @@ def tail_coefficient(spec):
 
 
 def _rng(seed, stream):
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)], dtype=np.uint64)
+    """The Philox stream of (seed, stream). A seed outside [0, 2^64) is
+    refused: masked to 64 bits, it would repeat the draws of another seed."""
+    if not 0 <= operator.index(seed) < 1 << 64:
+        raise ConfigurationError(f"seed must be in [0, 2**64), got {seed}")
+    key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

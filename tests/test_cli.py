@@ -101,6 +101,24 @@ class TestSimulateCmd:
         assert (out / "ensemble.bin").read_bytes() == np.vstack([ens.x, ens.d]).astype("<f8").tobytes()
         assert json.loads((out / "ensemble.json").read_text())["sigmas"] == [0.8, 0.6]
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_aliasing_seed_exit_code(self, tmp_path, capsys, seed):
+        # masked to 64 bits, these would draw the paths of seeds 2^64 - 1 and 0
+        config = self._config(tmp_path)
+        rc = main(["simulate", "--config", config, "--seed", seed,
+                   "--out", str(tmp_path / "run")])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_largest_seed(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", self._config(tmp_path),
+                     "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 0
+        assert json.loads((out / "ensemble.json").read_text())["seed"] == 2 ** 64 - 1
+
     def test_unallocatable_length_exit_code(self, tmp_path):
         # 2^50 doubles (8 PiB) exceed the 2^47-byte address space Linux maps
         # for a process by default, whatever the overcommit setting
@@ -694,6 +712,18 @@ class TestVerifyCmd:
                                 "directory\n")
         assert [p.name for p in out.iterdir()] == ["kept.txt"]
 
+    @pytest.mark.parametrize("suite", ["tensor", "mslln"])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, suite):
+        # every draw goes through one seed check; the mslln reps draw from
+        # seed * 100003 + rep, which the message names
+        out = tmp_path / "v"
+        assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed must be in [0, 2**64), got -1")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_tensor_suite(self, tmp_path, capsys):
         rc = main(["verify", "--suite", "tensor", "--out", str(tmp_path / "v")])
         assert rc == 0
@@ -821,6 +851,19 @@ def test_library_pipeline_skips_fork_helper():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False True"
+
+
+@pytest.mark.parametrize("module", ["marcz", "marcz.cli"])
+def test_import_runs_no_submodule(module):
+    # every submodule is in sys.modules (perfbench looks them up there), and
+    # none has run: tables, rates and the numeric modules import dataclasses
+    code = (f"import sys, {module}; "
+            "print([m for m in ('errors', 'tables', 'rates', 'ingest', 'innovations', "
+            "'kernel', 'linproc', 'statistic', 'verify') if 'marcz.' + m not in sys.modules], "
+            "'dataclasses' in sys.modules)")
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -39,6 +39,13 @@ class TestSpec:
                 assert back.df_or_alpha == spec.df_or_alpha
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 65 - 1])
+def test_seed_outside_64_bits_refused(seed):
+    # masked to 64 bits, each would repeat the draws of a seed in range
+    with pytest.raises(ConfigurationError, match=r"seed must be in \[0, 2\*\*64\)"):
+        sample(InnovationSpec("gaussian"), 4, seed)
+
+
 def _sample_out_of_place(spec, count, seed, stream):
     """sample() with a fresh array per step, the reference for its bits."""
     rng = _rng(seed, stream)

@@ -87,14 +87,23 @@ class TestEwma:
         # OPENBLAS_CORETYPE picks the CPU kernel of an OpenBLAS built with
         # DYNAMIC_ARCH; Prescott runs on every x86-64 CPU. Where numpy's BLAS
         # ignores the variable, both children run the same kernel and agree.
+        # The FFT ensemble and the kernel sums are checked too; the direct
+        # convolution path of simulate_paths calls BLAS ddot and is not.
         code = (
             "import hashlib, numpy as np\n"
-            "from marcz import verdict_table\n"
+            "from marcz import (CoefficientSpec, InnovationSpec, ProcessConfig,\n"
+            "                   simulate_paths, verdict_table, verify_kernel_bound)\n"
             "x = 0.01 * np.random.default_rng(3).standard_t(3, 2 ** 16)\n"
             "t = verdict_table(x, proportional=True, collect_traces=True)\n"
             "h = hashlib.sha256(t.to_json().encode())\n"
             "for tr in t.traces.values():\n"
             "    h.update(tr.f.tobytes())\n"
+            "spec = CoefficientSpec(sigma=0.8, window=2 ** 12)\n"
+            "cfg = ProcessConfig(s=2, coeffs=(spec, spec), innov=InnovationSpec('student_t', 3.0),\n"
+            "                    sharing='independent', length=2 ** 12, window=2 ** 12)\n"
+            "ens = simulate_paths(cfg, 1)\n"
+            "h.update(ens.x.tobytes() + ens.d.tobytes())\n"
+            "h.update(verify_kernel_bound(0.75, 1000, 10 ** 6).sums.tobytes())\n"
             "print(h.hexdigest())\n")
         root = os.path.dirname(os.path.dirname(marcz.__file__))
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
