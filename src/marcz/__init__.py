@@ -2,10 +2,10 @@
 Marcinkiewicz-normalized partial sums.
 
 Every submodule is registered lazily: `import marcz` puts each one in
-`sys.modules` without running it, and runs it on its first attribute
+`sys.modules` without running it, and it runs on its first attribute
 access. A public name resolves through `__getattr__` to the module that
-defines it, so reading a verdict table, inverting it and forward-modelling
-one (`tables`, `rates`, `errors`) never import numpy.
+defines it. `errors`, `tables` and `rates` need no numpy, so reading a
+verdict table, inverting it and forward-modelling one never import it.
 """
 
 import importlib.util
