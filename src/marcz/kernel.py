@@ -66,15 +66,14 @@ def _fft_length(target):
     return best
 
 
-def _fft_convolve_valid(xi, kern_spectrum, kern_size):
-    """np.convolve(row, kern, "valid") for each row of xi, via numpy.fft,
-    given kern_spectrum = rfft(kern, _fft_length(len(row))) and kern.size.
+def _fft_convolve_valid(xi, kern_spectrum, kern_size, size):
+    """np.convolve(row, kern, "valid") for each row of xi, via numpy.fft, given
+    size = _fft_length(len(row)), kern_spectrum = rfft(kern, size) and kern.size.
 
     A circular convolution of length L >= len(row) wraps only into the first
     len(kern) - 1 outputs, which valid mode discards.
     """
     n = xi.shape[-1]
-    size = _fft_length(n)
     prod = np.fft.rfft(xi, size)
     prod *= kern_spectrum
     return np.fft.irfft(prod, size)[..., kern_size - 1:n]
@@ -84,10 +83,10 @@ def _fft_cross_sums(gamma_left, gamma_right, lag_max, radius):
     """The sums of _cross_sums for all lags at once: the valid part of the
     linear convolution of A over m = 2-radius..lag_max+radius with B over
     l = -radius..radius, copied so that the transform's buffer is freed."""
-    b = np.fft.rfft(_powers(gamma_right, -radius, radius),
-                    _fft_length(lag_max + 2 * radius - 1))
+    size = _fft_length(lag_max + 2 * radius - 1)
+    b = np.fft.rfft(_powers(gamma_right, -radius, radius), size)
     a = _powers(gamma_left, 2 - radius, lag_max + radius)
-    return _fft_convolve_valid(a, b, 2 * radius + 1).copy()
+    return _fft_convolve_valid(a, b, 2 * radius + 1, size).copy()
 
 
 def _power_sum(a, b, s):
@@ -177,7 +176,7 @@ class BoundReport:
         return float(np.max(self.ratios) / np.min(self.ratios))
 
     def to_tsv(self, path):
-        write_rows(path, "lag\tsum\tbound\tratio\n", self.lags, "\t%.12g\t%.12g\t%.12g\n",
+        write_rows(path, "lag\tsum\tbound\tratio\n", self.lags, "\t", 12,
                    self.sums, self.bounds, self.ratios)
 
 

@@ -86,8 +86,8 @@ def _component_paths(config, r, seed, method="fft"):
     stream = 0 if config.sharing == "shared" else r
     xi = sample(config.innov, count, seed, stream=stream)
     if method == "fft":
-        spectrum = _kernel_spectrum(config.coeffs[r], _fft_length(count))
-        return _fft_convolve_valid(xi, spectrum, 2 * M + 1)
+        size = _fft_length(count)
+        return _fft_convolve_valid(xi, _kernel_spectrum(config.coeffs[r], size), 2 * M + 1, size)
     if method == "direct":
         return np.convolve(xi, coefficient_array(config.coeffs[r]), "valid")
     raise ConfigurationError(f"unknown method {method!r}")
@@ -111,8 +111,7 @@ def simulate_paths(config, seed, method="fft"):
 def ensemble_to_tsv(ensemble, path):
     s, n = ensemble.x.shape
     header = "k\t" + "".join(f"x_{r + 1}\t" for r in range(s)) + "d\n"
-    write_rows(path, header, range(1, n + 1), "\t%.17g" * (s + 1) + "\n",
-               *ensemble.x, ensemble.d)
+    write_rows(path, header, range(1, n + 1), "\t", 17, *ensemble.x, ensemble.d)
 
 
 def ensemble_to_binary(ensemble, bin_path, sidecar_path):

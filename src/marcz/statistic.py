@@ -68,7 +68,7 @@ class MarcTrace:
     f: np.ndarray
 
     def to_csv(self, path):
-        write_rows(path, "k,f\n", range(1, self.f.size + 1), ",%.17g\n", self.f)
+        write_rows(path, "k,f\n", range(1, self.f.size + 1), ",", 17, self.f)
 
 
 def _finite_series(x):

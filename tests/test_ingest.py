@@ -1,13 +1,14 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from marcz import load_prices, log_returns, select_window
 from marcz.errors import DomainError, EmptyDataError, LengthError, SchemaError
-from marcz.ingest import _BLOCK_ROWS, PriceSeries, _numbered_blocks, write_rows
+from marcz.ingest import _BLOCK_ROWS, PriceSeries, write_rows
 from marcz.kernel import BoundReport
 from marcz.linproc import PathEnsemble, ensemble_to_tsv
 from marcz.statistic import MarcTrace
@@ -134,42 +135,81 @@ def test_writer_bytes(tmp_path, writer, rows):
     assert path.read_text() == expected
 
 
-def test_row_templates_follow_length(tmp_path):
-    # the cached row-number templates must be rebuilt, not reused, when the
-    # length changes across a block boundary, and hold one entry after
-    path = tmp_path / "trace.csv"
-    f = np.resize(np.array(_SPECIAL), _BLOCK_ROWS + 1)
-    for rows in (_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS - 1, _BLOCK_ROWS):
-        expected = _trace_bytes(path, f[:rows])
-        assert path.read_text() == expected
-    assert _numbered_blocks.cache_info().currsize == 1
-
-
 def test_unequal_columns_raise(tmp_path):
     path = tmp_path / "out.txt"
     with pytest.raises(LengthError):
-        write_rows(path, "k,f\n", range(1, 4), ",%.17g\n", np.zeros(2))
+        write_rows(path, "k,f\n", range(1, 4), ",", 17, np.zeros(2))
     with pytest.raises(LengthError):
-        write_rows(path, "k\ta\tb\n", range(1, 4), "\t%.17g\t%.17g\n", np.zeros(3), np.zeros(4))
+        write_rows(path, "k\ta\tb\n", range(1, 4), "\t", 17, np.zeros(3), np.zeros(4))
     assert not path.exists()
 
 
 def test_trace_write_memory(tmp_path):
-    # a 2^18 trace is written holding the row-number templates and one
-    # block of rows (measured ~89 bytes a row), never the column's text
-    n = 2 ** 18
-    f = np.random.default_rng(0).standard_normal(n)
+    # a 2^18 trace is written holding one block of rows (measured ~169 bytes
+    # a row across the formatting arrays), never the column's text
+    f = np.random.default_rng(0).standard_normal(2 ** 18)
     trace = MarcTrace(s=1, exponent=0.5, f=f)
     path = tmp_path / "trace.csv"
-    _numbered_blocks.cache_clear()
     tracemalloc.start()
     try:
         trace.to_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    templates = sum(map(sys.getsizeof, _numbered_blocks(range(1, n + 1), ",%.17g\n")))
-    assert peak - templates < 128 * _BLOCK_ROWS < path.stat().st_size / 8
+    assert peak < 192 * _BLOCK_ROWS < path.stat().st_size / 8
+
+
+def _written_values(path, values, precision):
+    write_rows(path, "", range(values.size), ",", precision, values)
+    return path.read_bytes().splitlines()
+
+
+def _percent_lines(values, precision):
+    return [b"%d,%.*g" % (k, precision, v) for k, v in enumerate(values.tolist())]
+
+
+# zero, subnormals, the smallest normal, inf, nan, the %g switches, two
+# exact ties at 12 digits, and 0.99...9e{k} with 12, 13, 17 or 18 nines,
+# which round up to 10^k or not
+_EDGES = ([0.0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+           math.inf, math.nan, 1e-5, 1e-4, 1 / 3, 0.5, 1.0, 2 ** 53, 2 ** 53 + 2,
+           1234567890125.0, 1234567890135.0]
+          + [float(f"0.{'9' * n}e{k}") for n in (12, 13, 17, 18)
+             for k in (-4, -3, 1, 12, 13, 17, 18)])
+
+
+def _edge_values():
+    powers = np.concatenate([[float(f"1e{k}") for k in range(-300, 301)],
+                             np.power(10.0, np.arange(-300, 301.0))])
+    edges = np.concatenate([_EDGES, powers, np.nextafter(powers, 0),
+                            np.nextafter(powers, math.inf), 1e16 + np.arange(-4.0, 6.0, 2.0),
+                            1e17 + np.arange(-32.0, 48.0, 16.0)])
+    return np.concatenate([edges, -edges])
+
+
+@pytest.mark.parametrize("precision", [17, 12])
+@pytest.mark.parametrize("values", [
+    pytest.param(lambda: np.random.default_rng(0).integers(
+        0, 2 ** 64, 2 ** 20, dtype=np.uint64).view(np.float64), id="bit_patterns"),
+    pytest.param(_edge_values, id="edges"),
+])
+def test_writer_matches_percent(tmp_path, values, precision):
+    # the vector digits against Python's correctly rounded '%.{p}g', row by
+    # row: the bit patterns span every binade, so about one row in eleven is
+    # outside the vector range or nan and takes the fallback, and the edges
+    # sit on the decade and notation switches and the carries of rounding
+    values = values()
+    written = _written_values(tmp_path / "out.csv", values, precision)
+    assert written == _percent_lines(values, precision)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40), st.sampled_from([12, 17]))
+def test_writer_matches_percent_property(tmp_path, values, precision):
+    values = np.array(values, dtype=np.float64)
+    assert _written_values(tmp_path / "out.csv", values, precision) == _percent_lines(
+        values, precision)
 
 
 @pytest.mark.parametrize("call,error,match", [

@@ -45,9 +45,9 @@ class TestSimulate:
     def test_shared_component_convolved_once(self, monkeypatch):
         calls = []
 
-        def counting(xi, kern_spectrum, kern_size):
+        def counting(*args):
             calls.append(1)
-            return _fft_convolve_valid(xi, kern_spectrum, kern_size)
+            return _fft_convolve_valid(*args)
 
         cfg = _config(s=2, sigma=0.8)
         monkeypatch.setattr(linproc, "_fft_convolve_valid", counting)
@@ -191,8 +191,8 @@ class TestKernelSpectrum:
 
 
 def _convolve(xi, kern):
-    spectrum = np.fft.rfft(kern, _fft_length(xi.shape[-1]))
-    return _fft_convolve_valid(xi, spectrum, kern.size)
+    size = _fft_length(xi.shape[-1])
+    return _fft_convolve_valid(xi, np.fft.rfft(kern, size), kern.size, size)
 
 
 def _is_5_smooth(v):
