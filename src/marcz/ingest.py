@@ -104,7 +104,7 @@ def _digits(v, width):
     float32."""
     if width > 6:
         return np.vstack([_digits(v // 10 ** 6, width - 6), _digits(v % 10 ** 6, 6)])
-    powers = np.float32(10) ** np.arange(width - 1, -1, -1, dtype=np.float32)
+    powers = np.array([10 ** k for k in range(width - 1, -1, -1)], dtype=np.float32)
     prefixes = np.floor(v.astype(np.float32) / powers[:, None])
     prefixes[1:] -= 10 * prefixes[:-1]
     return (prefixes + 48).astype(np.uint8)
